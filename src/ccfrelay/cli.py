@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DecodeFailure
 from .optimizer import SCHEMES, OptimizerConfig, evaluate_all
 from .pipeline import (
     ChannelInstance,
@@ -309,7 +309,7 @@ def _cmd_demo_noisy(args) -> int:
                 noisy = compress(decoded, 1, asg)
                 if noisy != exact:
                     failures += 1
-            except Exception:
+            except DecodeFailure:
                 failures += 1
         rows.append((noise_std, failures / trials))
         print(f"noise_std={noise_std!r} error_rate={failures / trials!r}")
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
 
     sweep = sub.add_parser("sweep", help="Monte Carlo sum-rate sweep over SNR")
     common(sweep)

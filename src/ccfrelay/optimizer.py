@@ -12,13 +12,17 @@ restrict the search space:
 - acf-m:  acf plus a searched modulo permutation
 - acf-mq: acf plus searched quantization and modulo permutations
 
-L = 2 evaluations are vectorized across the whole power grid; other sizes
-fall back to a scalar path with cached permutation feasibility.
+Every size is evaluated over the whole power grid at once.  L = 2 has its
+own closed-form two-dimensional reduction; other sizes run a masked batched
+LLL, a batched rank-greedy selection over F_gamma and batched rate bounds,
+in blocks of grid rows, with permutation feasibility computed once per
+distinct coefficient matrix and ordering.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,6 @@ from .errors import ConfigError, NoIndependentRowError, NotFullRankError
 from .galois import (
     FieldMatrix,
     mat_rank,
-    perm_inverse,
     residual_submatrix,
     srm_index_sets,
     srq_index_sets,
@@ -36,7 +39,7 @@ from .lattice import make_chain_spec
 from .pipeline import ChannelInstance, SchemeAssignment
 from .rates import (
     RateReport,
-    computation_rate,
+    computation_rate,  # noqa: F401  (perfbench/spans.py wraps optimizer.computation_rate)
     max_rates_given_structure,
     second_hop_region,
 )
@@ -52,6 +55,19 @@ _SCHEME_VARIANT = {
 }
 
 _COMMON_POWER = {"scf": True, "scf-q": True, "acf": False, "acf-m": False, "acf-mq": False}
+
+# Array elements per block of the batched evaluator.  The largest
+# temporaries hold 2 L^3 elements per grid row in coefficient selection
+# (candidate rows of every relay), L! * L * L in the bounds (every pi_e) and
+# 4^L + L! * L per distinct coefficient matrix in the feasibility (minors and
+# feasible permutations), so blocks take as many rows as fit this budget:
+# about 8 MiB per float temporary, whatever L and the mesh size.
+_BLOCK_ELEMS = 1 << 20
+
+
+def _block_rows(per_row: int) -> int:
+    """Rows per block when each row needs ``per_row`` elements."""
+    return max(1, _BLOCK_ELEMS // per_row)
 
 
 @dataclass(frozen=True)
@@ -82,13 +98,24 @@ class GramContext:
     L_m: np.ndarray
 
 
+def _gram(H, p_rows) -> np.ndarray:
+    """Effective-noise metrics of every relay at every grid row.
+
+    H: (L_relays, L) channel rows; p_rows: (N, L) powers.  Returns (N,
+    L_relays, L, L), with the operation order of the scalar closed form
+    (``np.vecdot`` is the same dot kernel as ``@`` on vectors)."""
+    ph = p_rows[:, None, :] * H[None]
+    denom = 1.0 + np.vecdot(H[None], ph)
+    diag = p_rows[:, None, :, None] * np.eye(H.shape[1])
+    return diag - ph[..., :, None] * ph[..., None, :] / denom[..., None, None]
+
+
 def gram_matrix(h_m, p) -> np.ndarray:
     """Metric whose quadratic form in the coefficient row is the
     effective-noise power at the optimal scaling coefficient."""
     h = np.asarray(h_m, dtype=float)
     p = np.asarray(p, dtype=float)
-    ph = p * h
-    return np.diag(p) - np.outer(ph, ph) / (1.0 + h @ ph)
+    return _gram(h[None], p[None])[0, 0]
 
 
 def gram_context(h_m, p) -> GramContext:
@@ -97,30 +124,33 @@ def gram_context(h_m, p) -> GramContext:
 
 
 def _gso(B: np.ndarray):
-    """Gram-Schmidt data: squared norms of the orthogonalized rows and the
-    lower-triangular projection coefficients."""
-    n = B.shape[0]
-    mu = np.eye(n)
-    star = np.zeros_like(B, dtype=float)
-    norms2 = np.zeros(n)
+    """Gram-Schmidt data of a stack of bases (M, n, d): squared norms of the
+    orthogonalized rows (M, n) and the lower-triangular projection
+    coefficients (M, n, n)."""
+    M, n, _ = B.shape
+    mu = np.broadcast_to(np.eye(n), (M, n, n)).copy()
+    star = np.empty_like(B)
+    norms2 = np.empty((M, n))
     for i in range(n):
-        star[i] = B[i]
+        s = B[:, i]
         for j in range(i):
-            mu[i, j] = (B[i] @ star[j]) / norms2[j]
-            star[i] = star[i] - mu[i, j] * star[j]
-        norms2[i] = star[i] @ star[i]
+            mu[:, i, j] = np.vecdot(B[:, i], star[:, j]) / norms2[:, j]
+            s = s - mu[:, i, j, None] * star[:, j]
+        star[:, i] = s
+        norms2[:, i] = np.vecdot(s, s)
     return norms2, mu
 
 
 def is_size_reduced(B, tol: float = 1e-9) -> bool:
-    _, mu = _gso(np.asarray(B, dtype=float))
-    off = np.tril(mu, -1)
+    _, mu = _gso(np.asarray(B, dtype=float)[None])
+    off = np.tril(mu[0], -1)
     return bool(np.all(np.abs(off) <= 0.5 + tol))
 
 
 def satisfies_lovasz(B, delta: float, tol: float = 1e-9) -> bool:
     B = np.asarray(B, dtype=float)
-    norms2, mu = _gso(B)
+    norms2, mu = _gso(B[None])
+    norms2, mu = norms2[0], mu[0]
     scale = max(1.0, float(np.max(norms2)))
     for k in range(1, B.shape[0]):
         if norms2[k] < (delta - mu[k, k - 1] ** 2) * norms2[k - 1] - tol * scale:
@@ -135,6 +165,59 @@ def is_unimodular(T) -> bool:
     return abs(round(float(np.linalg.det(T.astype(float))))) == 1
 
 
+_LLL_GUARD = 100000
+
+
+def _lll_batched(B, delta: float):
+    """Lovasz-reduce the rows of every basis in a stack (M, n, d).
+
+    Each basis takes the steps of the textbook loop: size reduction of row
+    k against rows k-1 down to 0 with half-to-even rounding and a full
+    Gram-Schmidt recompute after every nonzero step, then the Lovasz test
+    on row k, and either k + 1 or a swap with k = max(k - 1, 1).  Bases
+    advance one step per pass, each at its own (k, j); finished ones drop
+    out.  Returns (reduced, transform) stacks."""
+    B = np.array(B, dtype=float)
+    M, n, _ = B.shape
+    T = np.broadcast_to(np.eye(n, dtype=np.int64), (M, n, n)).copy()
+    k = np.ones(M, dtype=np.intp)
+    j = k - 1
+    rounds = np.zeros(M, dtype=np.int64)
+    norms2, mu = _gso(B)
+    active = np.flatnonzero(k < n)
+    while active.size:
+        size = active[j[active] >= 0]
+        if size.size:
+            ks, js = k[size], j[size]
+            q = np.rint(mu[size, ks, js])
+            nz = q != 0
+            if np.any(nz):
+                t, kt, jt, qt = size[nz], ks[nz], js[nz], q[nz]
+                B[t, kt] -= qt[:, None] * B[t, jt]
+                T[t, kt] -= qt.astype(np.int64)[:, None] * T[t, jt]
+                norms2[t], mu[t] = _gso(B[t])
+            j[size] -= 1
+        test = active[j[active] < 0]
+        if test.size:
+            kl = k[test]
+            # np.float_power is libm pow, as `**` on a numpy scalar; the
+            # square x * x can differ from it in the last bit
+            ok = norms2[test, kl] >= (delta - np.float_power(mu[test, kl, kl - 1], 2)) * norms2[test, kl - 1]
+            k[test[ok]] += 1
+            sw, ks = test[~ok], kl[~ok]
+            if sw.size:
+                B[sw, ks - 1], B[sw, ks] = B[sw, ks], B[sw, ks - 1]
+                T[sw, ks - 1], T[sw, ks] = T[sw, ks], T[sw, ks - 1]
+                k[sw] = np.maximum(ks - 1, 1)
+                norms2[sw], mu[sw] = _gso(B[sw])
+            j[test] = k[test] - 1
+            rounds[test] += 1
+            if np.any((rounds[test] >= _LLL_GUARD) & (k[test] < n)):
+                raise RuntimeError("reduction failed to converge")
+        active = np.flatnonzero(k < n)
+    return B, T
+
+
 def lll_reduce(basis, delta: float = 0.75):
     """Lovasz-reduce the rows of ``basis``.
 
@@ -144,27 +227,8 @@ def lll_reduce(basis, delta: float = 0.75):
     n = B.shape[0]
     if B.ndim != 2 or B.shape[1] < n or np.linalg.matrix_rank(B) < n:
         raise NotFullRankError("basis rows are linearly dependent")
-    T = np.eye(n, dtype=np.int64)
-    k = 1
-    guard = 0
-    while k < n:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("reduction failed to converge")
-        norms2, mu = _gso(B)
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
-            if q != 0:
-                B[k] -= q * B[j]
-                T[k] -= q * T[j]
-                norms2, mu = _gso(B)
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
-            k += 1
-        else:
-            B[[k - 1, k]] = B[[k, k - 1]]
-            T[[k - 1, k]] = T[[k, k - 1]]
-            k = max(k - 1, 1)
-    return B, T
+    B, T = _lll_batched(B[None], delta)
+    return B[0], T[0]
 
 
 def _lagrange2(g11, g12, g22):
@@ -230,43 +294,74 @@ def _select_A2(D: np.ndarray, gamma: int):
     return np.stack([a1, a2], axis=1), valid
 
 
+def _sorted_candidates(T, D):
+    """Candidate coefficient rows of a stack of relays: the reduced basis
+    rows (M, L, L) plus the unit vectors, sign-normalized, ordered by their
+    metric under D (M, L, L), then lexicographically."""
+    M, L, _ = T.shape
+    cand = np.concatenate([T, np.broadcast_to(np.eye(L, dtype=np.int64), (M, L, L))], axis=1)
+    lead = np.take_along_axis(cand, np.argmax(cand != 0, axis=2)[..., None], axis=2)
+    cand = cand * np.where(lead < 0, -1, 1)
+    met = np.einsum("nci,nij,ncj->nc", cand, D, cand)
+    order = np.lexsort(tuple(cand[..., i] for i in reversed(range(L))) + (met,), axis=-1)
+    return np.take_along_axis(cand, order[..., None], axis=1)
+
+
+def _select_A(D: np.ndarray, gamma: int, delta: float):
+    """Batched coefficient selection for any L.
+
+    ``D`` has shape (N, L, L, L), indexed by row then relay.  Each relay's
+    candidates come from reducing its Cholesky basis; relay by relay, the
+    first candidate outside the span of the rows already chosen (modulo
+    gamma) is taken.  Returns the integer matrices (N, L, L) and a mask of
+    rows where a full-rank choice exists."""
+    N, L = D.shape[:2]
+    flat = D.reshape(N * L, L, L)
+    _, T = _lll_batched(np.linalg.cholesky(flat), delta)
+    cand = _sorted_candidates(T, flat).reshape(N, L, 2 * L, L)
+    rows = np.arange(N)
+    A = np.empty((N, L, L), dtype=np.int64)
+    valid = np.ones(N, dtype=bool)
+    # echelon rows of the chosen rows mod gamma: basis[:, i] is zero at the
+    # pivots of the other rows and nonzero at its own pivot pivots[:, i]
+    basis = np.zeros((N, L, L), dtype=np.int64)
+    pivots = np.zeros((N, L), dtype=np.intp)
+    for m in range(L):
+        res = cand[:, m] % gamma
+        for i in range(m):
+            b = basis[:, i, None, :]
+            lead = np.take_along_axis(b, pivots[:, i, None, None], axis=2)
+            res = (res * lead - res[rows, :, pivots[:, i]][..., None] * b) % gamma
+        ok = np.any(res != 0, axis=2)
+        pick = np.argmax(ok, axis=1)
+        valid &= ok[rows, pick]
+        A[:, m] = cand[rows, m, pick]
+        w = res[rows, pick]
+        pv = np.argmax(w != 0, axis=1)
+        for i in range(m):
+            basis[:, i] = (basis[:, i] * w[rows, pv, None] - basis[rows, i, pv, None] * w) % gamma
+        basis[:, m] = w
+        pivots[:, m] = pv
+    return A, valid
+
+
 def select_coefficients(H, p, gamma: int, config: OptimizerConfig) -> np.ndarray:
-    """Integer combination coefficients, one row per relay.
+    """Integer combination coefficients, one row per relay, for a power
+    vector p (L,), or for every row of a power grid p (N, L) at once.
 
     Each relay's candidates come from reducing the identity basis in its
     effective-noise metric; rows are picked greedily by metric under the
     constraint that the stack stays full rank over F_gamma."""
     H = np.asarray(H, dtype=float)
     p = np.asarray(p, dtype=float)
-    L = p.shape[0]
-    if L == 1:
-        return np.array([[1]], dtype=np.int64)
-    if L == 2:
-        D = np.stack([gram_matrix(H[m], p) for m in range(2)])[None]
+    D = _gram(H, np.atleast_2d(p))
+    if D.shape[1] == 2:
         A, valid = _select_A2(D, gamma)
-        if not valid[0]:
-            raise NoIndependentRowError("no full-rank candidate pair modulo gamma")
-        return A[0]
-    chosen = []
-    for m in range(L):
-        ctx = gram_context(H[m], p)
-        _, T = lll_reduce(ctx.L_m, config.lllDelta)
-        cand = np.concatenate([T, np.eye(L, dtype=np.int64)], axis=0)
-        lead_idx = np.argmax(cand != 0, axis=1)
-        lead = cand[np.arange(cand.shape[0]), lead_idx]
-        cand = cand * np.where(lead < 0, -1, 1)[:, None]
-        met = np.einsum("ci,ij,cj->c", cand, ctx.D_m, cand)
-        order = np.lexsort(tuple(cand[:, i] for i in reversed(range(L))) + (met,))
-        picked = None
-        for idx in order:
-            trial = chosen + [cand[idx]]
-            if mat_rank(FieldMatrix(np.stack(trial), gamma)) == len(trial):
-                picked = cand[idx]
-                break
-        if picked is None:
-            raise NoIndependentRowError(f"no candidate row extends rank at relay {m + 1}")
-        chosen.append(picked)
-    return np.stack(chosen).astype(np.int64)
+    else:
+        A, valid = _select_A(D, gamma, config.lllDelta)
+    if not np.all(valid):
+        raise NoIndependentRowError("no full-rank coefficient choice modulo gamma")
+    return A if p.ndim == 2 else A[0]
 
 
 def pi_d_is_feasible(Q: FieldMatrix, pi_c, pi_d) -> bool:
@@ -297,6 +392,61 @@ def enumerate_feasible_permutations(Q: FieldMatrix, pi_c, pi_s):
     return itertools.product(feas_d, feas_e)
 
 
+def _group_rows(keys):
+    """Distinct rows of an integer array (N, K): the index of one row of
+    each group and the group of every row.  A lexsort, much faster than
+    ``np.unique(axis=0)`` on large grids."""
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _nonsingular_minors(A, gamma: int) -> np.ndarray:
+    """Which square submatrices of each A (K, L, L) are nonsingular modulo
+    gamma, as (K, 2^L, 2^L) indexed by the bit masks of their rows and
+    columns.  Determinants mod gamma by Laplace expansion along the first
+    row, smaller minors first; the empty minor is 1."""
+    K, L, _ = A.shape
+    a = A % gamma
+    det = np.zeros((K, 1 << L, 1 << L), dtype=np.int64)
+    det[:, 0, 0] = 1
+    by_size = [[m for m in range(1 << L) if bin(m).count("1") == s] for s in range(L + 1)]
+    for size in by_size[1:]:
+        for R in size:
+            r0 = (R & -R).bit_length() - 1
+            for C in size:
+                acc = 0
+                for pos, c in enumerate(c for c in range(L) if C >> c & 1):
+                    term = a[:, r0, c] * det[:, R ^ (1 << r0), C ^ (1 << c)] % gamma
+                    acc = acc - term if pos % 2 else acc + term
+                det[:, R, C] = acc % gamma
+    return det != 0
+
+
+def _level_masks(labels, kind: str) -> np.ndarray:
+    """Bit masks (X, L) of the residual index sets of recovery iterations
+    t = 1..L for each labelling (X, L): labels <= t for quantization
+    ("d"), labels >= t for modulo ("e"), as srq/srm_index_sets."""
+    t = np.arange(1, labels.shape[1] + 1)[:, None]
+    inside = labels[:, None, :] <= t if kind == "d" else labels[:, None, :] >= t
+    return np.sum(inside << np.arange(labels.shape[1]), axis=2)
+
+
+def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
+    """(K, P) mask of the feasible pi_d ("d", given pi_c = pi[k]) or pi_e
+    ("e", given pi_s = pi[k]) among perms (P, L) for each A (K, L, L): the
+    rank conditions of pi_d_is_feasible / pi_e_is_feasible, read off the
+    nonsingular minors of A."""
+    nonsingular = _nonsingular_minors(A, gamma)
+    relays = _level_masks(perms, kind)
+    sources = _level_masks(pi, kind)
+    return np.all(nonsingular[np.arange(len(A))[:, None, None], relays[None], sources[:, None]], axis=2)
+
+
 def _power_grid(P: float, n: int) -> np.ndarray:
     """Geometric grid of n candidate powers over (P/n, P]."""
     if n == 1:
@@ -304,13 +454,17 @@ def _power_grid(P: float, n: int) -> np.ndarray:
     return P * float(n) ** (-(n - 1 - np.arange(n)) / n)
 
 
+def _rank_perms(keys) -> np.ndarray:
+    """Row-wise permutations assigning position 1 to the smallest key (stable)."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    perm = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(perm, order, np.arange(1, order.shape[1] + 1)[None, :], axis=1)
+    return perm
+
+
 def _rank_perm(key) -> tuple:
     """Permutation assigning position 1 to the smallest key (stable)."""
-    key = np.asarray(key)
-    order = np.argsort(key, kind="stable")
-    perm = np.empty(len(key), dtype=np.int64)
-    perm[order] = np.arange(1, len(key) + 1)
-    return tuple(int(x) for x in perm)
+    return tuple(int(x) for x in _rank_perms(np.asarray(key)[None])[0])
 
 
 def _coding_key(p, r_comp):
@@ -335,24 +489,31 @@ def _comp_rates_batched(p, tau, mask):
     return np.maximum(r, 0.0)
 
 
-def _pick_best(cand_vals, cand_r, cand_meta):
-    """Largest value, ties broken by lexicographically largest rate tuple.
-
-    cand_vals: (C, N); cand_r: (C, N, L).  Returns (value, row, meta) or
-    None when nothing is feasible."""
-    vals = np.stack(cand_vals)
-    r_all = np.stack(cand_r)
+def _argbest(vals, r):
+    """Flat index of the largest finite value of ``vals``, ties broken by the
+    lexicographically largest rate tuple (``r`` has shape vals.shape + (L,))
+    and then by the first index.  None when nothing is finite."""
     flat = vals.reshape(-1)
     finite = np.isfinite(flat)
     if not np.any(finite):
         return None
     best = np.max(flat[finite])
     ties = np.flatnonzero(flat == best)
-    r_flat = r_all.reshape(-1, r_all.shape[-1])[ties]
+    r_flat = r.reshape(-1, r.shape[-1])[ties]
     keys = tuple(-r_flat[:, i] for i in reversed(range(r_flat.shape[1])))
-    pick = ties[np.lexsort(keys)[0]]
-    ci, row = divmod(int(pick), vals.shape[1])
-    return float(best), row, cand_meta[ci]
+    return int(ties[np.lexsort(keys)[0]])
+
+
+def _pick_best(cand_vals, cand_r, cand_meta):
+    """Best of the stacked candidates (C, N) by the _argbest rule.
+
+    Returns (value, row, meta) or None when nothing is feasible."""
+    vals = np.stack(cand_vals)
+    pick = _argbest(vals, np.stack(cand_r))
+    if pick is None:
+        return None
+    ci, row = divmod(pick, vals.shape[1])
+    return float(vals[ci, row]), row, cand_meta[ci]
 
 
 class _Fast2:
@@ -461,117 +622,144 @@ class _Fast2:
         return p, A, pi_c, pi_s, pi_d, pi_e
 
 
-class _ScalarRows:
-    """Scalar per-row evaluation for general L, with cached permutation
-    feasibility keyed by the coefficient matrix."""
+class _Grid:
+    """Batched evaluation context for L >= 3 (and L = 1) over one channel
+    draw and one power grid.
+
+    Coefficient selection, rates, feasibility and bounds run in blocks
+    sized to ``_BLOCK_ELEMS``.  Permutation feasibility is computed once per
+    distinct (A, pi_c) or (A, pi_s), from the nonsingular square submatrices
+    of A, and shared by the rows that have it."""
 
     def __init__(self, H, caps, p_rows, gamma, config):
         self.H = np.asarray(H, dtype=float)
         self.caps = np.asarray(caps, dtype=float)
-        self.p_rows = np.asarray(p_rows, dtype=float)
+        self.p = np.asarray(p_rows, dtype=float)
         self.gamma = gamma
-        self.config = config
         self.L = self.H.shape[0]
-        self._pi_d_cache = {}
-        self._pi_e_cache = {}
-        self.rows = []
-        for p in self.p_rows:
-            try:
-                A = select_coefficients(self.H, p, gamma, config)
-            except NoIndependentRowError:
-                self.rows.append(None)
-                continue
-            r_comp = computation_rate(self.H, A, p)
-            self.rows.append(
-                {
-                    "p": p,
-                    "A": A,
-                    "r_comp": r_comp,
-                    "pi_s": _rank_perm(p),
-                    "pi_c": _rank_perm(_coding_key(p, r_comp)),
-                }
-            )
+        self.block = _block_rows(math.factorial(self.L) * self.L * self.L)
+        step = _block_rows(2 * self.L**3)
+        starts = range(0, len(self.p), step)
+        blocks = [self._select(self.p[s : s + step], config) for s in starts]
+        self.A, self.r_comp = (np.concatenate(part) for part in zip(*blocks))
+        self.mask = self.A != 0
+        self.pi_s = _rank_perms(self.p)
+        self.pi_c = _rank_perms(_coding_key(self.p, self.r_comp))
+        self.p_sorted = np.sort(self.p, axis=1, kind="stable")
+        self.perms = np.array(list(itertools.permutations(range(1, self.L + 1))))
+        # perm_inv0[k, j] is the 0-based position holding label j + 1 in perms[k]
+        self.perm_inv0 = np.argsort(self.perms, axis=1)
+        self._feasible = {}
 
-    def _feasible_pi_d_list(self, A, pi_c):
-        key = (A.tobytes(), pi_c)
-        if key not in self._pi_d_cache:
-            Q = FieldMatrix(A, self.gamma)
-            perms = itertools.permutations(range(1, self.L + 1))
-            self._pi_d_cache[key] = [pd for pd in perms if pi_d_is_feasible(Q, pi_c, pd)]
-        return self._pi_d_cache[key]
+    def _select(self, p, config):
+        """Coefficients and computation rates of a block of rows.  Selection
+        cannot fail here: the unit vectors among the candidates always
+        extend the rank."""
+        A = select_coefficients(self.H, p, self.gamma, config)
+        # mmse_noise_power for every (row, relay), in its operation order
+        a = A.astype(float)
+        pa = p[:, None, :] * a
+        tau = np.vecdot(a, pa) - np.float_power(np.vecdot(self.H[None], pa), 2) / (
+            1.0 + np.vecdot(self.H[None], p[:, None, :] * self.H[None])
+        )
+        return A, _comp_rates_batched(p, tau, A != 0)
 
-    def _feasible_pi_e_list(self, A, pi_s):
-        key = (A.tobytes(), pi_s)
-        if key not in self._pi_e_cache:
-            Q = FieldMatrix(A, self.gamma)
-            perms = itertools.permutations(range(1, self.L + 1))
-            self._pi_e_cache[key] = [pe for pe in perms if pi_e_is_feasible(Q, pi_s, pe)]
-        return self._pi_e_cache[key]
+    def _feasibility(self, kind):
+        """Feasible pi_d ("d", given pi_c) or pi_e ("e", given pi_s), in
+        itertools.permutations order: a mask (groups, L!) over the distinct
+        (A, pi) and the group (N,) of every row."""
+        if kind not in self._feasible:
+            pi = self.pi_c if kind == "d" else self.pi_s
+            keys = np.concatenate([self.A.reshape(len(self.A), -1), pi], axis=1)
+            first, inverse = _group_rows(keys)
+            chunk = _block_rows(4**self.L + self.perms.size)
+            feasible = [
+                _feasible_perms(self.A[g], pi[g], self.perms, self.gamma, kind)
+                for g in (first[s : s + chunk] for s in range(0, len(first), chunk))
+            ]
+            self._feasible[kind] = np.concatenate(feasible), inverse
+        return self._feasible[kind]
+
+    def _bounds(self, variant, blk):
+        """Yield (kd, bounds) for a block of rows: the forwarding bounds
+        (rows, pi_e choices, L) at the pi_d of index kd (None when pi_d is
+        not searched)."""
+        p = self.p[blk]
+        caps = self.caps
+        if variant == "symmetric":
+            off = 0.5 * np.log2(np.max(p, axis=1)[:, None] / p)
+            link_caps = np.min(np.where(self.mask[blk], caps[None, :, None], np.inf), axis=1)
+            yield None, (link_caps - off)[:, None, :]
+            return
+        # pe_pow[n, e, m]: power of the source shaping-ranked pi_e(m)
+        pe_pow = self.p_sorted[blk][:, self.perms - 1]
+        if variant == "srm":
+            off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
+            limits = np.where(self.mask[blk][:, None], caps[None, None, :, None] - off, np.inf)
+            yield None, np.min(limits, axis=2)
+            return
+        for kd, inv in enumerate(self.perm_inv0):
+            # sigma[n, l]: the relay forwarding source l under pi_d
+            sigma = inv[self.pi_c[blk] - 1]
+            if variant == "srq":
+                yield kd, caps[sigma][:, None, :]
+            else:
+                pe_sig = np.take_along_axis(pe_pow, np.broadcast_to(sigma[:, None, :], pe_pow.shape), axis=2)
+                yield kd, caps[sigma][:, None, :] - 0.5 * np.log2(pe_sig / p[:, None, :])
 
     def evaluate(self, variant):
-        L = self.L
-        caps = self.caps
+        """Best (value, row, meta) over rows and feasible (pi_d, pi_e).
+
+        Ties go to the lexicographically largest rate tuple, then to the
+        first candidate in (row, pi_d, pi_e) order."""
+        if variant not in ("symmetric", "srq", "srm", "srmq"):
+            raise ConfigError(f"unknown variant {variant!r}")
+        feas_d = self._feasibility("d") if variant in ("srq", "srmq") else None
+        feas_e = self._feasibility("e") if variant in ("srm", "srmq") else None
         best = None
-
-        def push(row_idx, row, bounds, meta):
-            nonlocal best
-            bounds = np.asarray(bounds, dtype=float)
-            if np.any(bounds < 0):
-                return
-            r = np.maximum(np.minimum(row["r_comp"], bounds), 0.0)
-            key = (float(np.sum(r)), tuple(r))
-            if best is None or key > best[0]:
-                best = (key, row_idx, meta)
-
-        for idx, row in enumerate(self.rows):
-            if row is None:
-                continue
-            p = row["p"]
-            A = row["A"]
-            mask = A != 0
-            if variant == "symmetric":
-                pe = np.max(p)
-                off = 0.5 * np.log2(pe / p)
-                link_caps = np.min(np.where(mask, caps[:, None], np.inf), axis=0)
-                push(idx, row, link_caps - off, {"variant": variant, "pi_d": None, "pi_e": None})
-            elif variant == "srq":
-                for pd in self._feasible_pi_d_list(A, row["pi_c"]):
-                    pd_inv = perm_inverse(pd)
-                    sigma = [pd_inv[row["pi_c"][l] - 1] - 1 for l in range(L)]
-                    push(idx, row, caps[sigma], {"variant": variant, "pi_d": pd, "pi_e": None})
-            elif variant == "srm":
-                pi_s_inv = perm_inverse(row["pi_s"])
-                for pe_perm in self._feasible_pi_e_list(A, row["pi_s"]):
-                    pe_pow = np.array([p[pi_s_inv[pe_perm[m] - 1] - 1] for m in range(L)])
-                    off = 0.5 * np.log2(pe_pow[:, None] / p[None, :])
-                    bounds = np.min(np.where(mask, caps[:, None] - off, np.inf), axis=0)
-                    push(idx, row, bounds, {"variant": variant, "pi_d": None, "pi_e": pe_perm})
-            elif variant == "srmq":
-                pi_s_inv = perm_inverse(row["pi_s"])
-                for pd in self._feasible_pi_d_list(A, row["pi_c"]):
-                    pd_inv = perm_inverse(pd)
-                    sigma = [pd_inv[row["pi_c"][l] - 1] - 1 for l in range(L)]
-                    for pe_perm in self._feasible_pi_e_list(A, row["pi_s"]):
-                        pe_pow = np.array([p[pi_s_inv[pe_perm[m] - 1] - 1] for m in range(L)])
-                        bounds = np.array(
-                            [caps[sigma[l]] - 0.5 * np.log2(pe_pow[sigma[l]] / p[l]) for l in range(L)]
-                        )
-                        push(idx, row, bounds, {"variant": variant, "pi_d": pd, "pi_e": pe_perm})
-            else:
-                raise ConfigError(f"unknown variant {variant!r}")
+        for start in range(0, len(self.p), self.block):
+            blk = slice(start, start + self.block)
+            rows_d = None if feas_d is None else feas_d[0][feas_d[1][blk]]
+            rows_e = None if feas_e is None else feas_e[0][feas_e[1][blk]]
+            for kd, bounds in self._bounds(variant, blk):
+                ok = np.all(bounds >= 0, axis=2)
+                if rows_d is not None:
+                    ok &= rows_d[:, kd, None]
+                if rows_e is not None:
+                    ok &= rows_e
+                r = np.maximum(np.minimum(self.r_comp[blk, None, :], bounds), 0.0)
+                vals = np.where(ok, np.sum(r, axis=2), -np.inf)
+                pick = _argbest(vals, r)
+                if pick is None:
+                    continue
+                row, ke = divmod(pick, vals.shape[1])
+                key = (float(vals[row, ke]), tuple(r[row, ke]))
+                order = (start + row, kd or 0, ke)
+                if best is None or key > best[0] or (key == best[0] and order < best[1]):
+                    best = (key, order)
         if best is None:
             return None
-        return best[0][0], best[1], best[2]
+        (value, _), (row, kd, ke) = best
+        meta = {
+            "variant": variant,
+            "pi_d": tuple(self.perms[kd].tolist()) if feas_d is not None else None,
+            "pi_e": tuple(self.perms[ke].tolist()) if feas_e is not None else None,
+        }
+        return value, row, meta
 
-    def winner(self, row_idx, meta):
-        row = self.rows[row_idx]
-        p = row["p"]
-        A = row["A"]
-        pi_c = row["pi_c"]
-        pi_s = row["pi_s"]
-        pi_d = meta.get("pi_d") or tuple(range(1, self.L + 1))
-        pi_e = meta.get("pi_e") or tuple(range(1, self.L + 1))
-        return p, A, pi_c, pi_s, pi_d, pi_e
+    def winner(self, row, meta):
+        identity = tuple(range(1, self.L + 1))
+        pi_c = tuple(self.pi_c[row].tolist())
+        pi_s = tuple(self.pi_s[row].tolist())
+        return self.p[row], self.A[row], pi_c, pi_s, meta["pi_d"] or identity, meta["pi_e"] or identity
+
+
+def _grid_context(H, caps, p_rows, gamma: int, config: OptimizerConfig):
+    """Evaluation context of one power grid: vectorized at L = 2, batched in
+    blocks of rows otherwise."""
+    if np.shape(H)[0] == 2:
+        return _Fast2(H, caps, p_rows, gamma)
+    return _Grid(H, caps, p_rows, gamma, config)
 
 
 def nominal_assignment(L, gamma, pi_c, pi_s, pi_d, pi_e, A, powers, budgets) -> SchemeAssignment:
@@ -632,10 +820,7 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
         common = _COMMON_POWER[scheme]
         if common not in contexts:
             rows = _grid_rows(channel.P, common, config)
-            if L == 2:
-                contexts[common] = _Fast2(channel.H, caps, rows, config.gammaOpt)
-            else:
-                contexts[common] = _ScalarRows(channel.H, caps, rows, config.gammaOpt, config)
+            contexts[common] = _grid_context(channel.H, caps, rows, config.gammaOpt, config)
         ctx = contexts[common]
         variant = _SCHEME_VARIANT[scheme]
         picked = ctx.evaluate(variant)

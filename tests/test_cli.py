@@ -1,8 +1,10 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccfrelay.cli
 import ccfrelay.pipeline
 from ccfrelay.cli import (
     CSV_HEADER,
@@ -20,7 +22,7 @@ from ccfrelay.cli import (
     parse_csv,
     run_sweep,
 )
-from ccfrelay.errors import ConfigError
+from ccfrelay.errors import ConfigError, DecodeFailure
 
 
 def small_config(**kw):
@@ -81,6 +83,23 @@ def test_sweep_L1_matches_closed_form():
             cap = 0.5 * np.log2(1.0 + ch.g[0] ** 2 * ch.P_R[0])
             expect.append(min(0.5 * np.log2(1.0 + h * h * P), cap))
         assert result.meanSumRate["scf"][i] == pytest.approx(np.mean(expect), abs=1e-9)
+
+
+# Sweeps whose CSV output was recorded by the per-row scalar optimizer that
+# the batched grid evaluator replaced; the output must not change by a byte.
+GOLDEN = {
+    "sweep_L2_all.csv": dict(L=2, snrStop=24.0, snrStep=6.0, trials=4, nBrute=100),
+    "sweep_L3_all.csv": dict(L=3, snrStop=24.0, snrStep=4.0, trials=6, nBrute=5),
+    "sweep_L4_scf.csv": dict(L=4, snrStop=24.0, snrStep=6.0, trials=6, schemes=("scf", "scf-q"), nBrute=100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sweep_matches_golden_csv(name):
+    buf = io.StringIO()
+    emit_csv(run_sweep(RunConfig(snrStart=0.0, seed=11, **GOLDEN[name])), buf)
+    golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    assert buf.getvalue() == golden
 
 
 def test_csv_round_trip():
@@ -206,3 +225,29 @@ def test_main_demo_noisy(capsys):
     assert main(["demo-noisy", "--trials", "20", "--seed", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "error_rate" in out
+
+
+def test_demo_noisy_counts_only_decode_failures(monkeypatch, capsys):
+    # a decode failure is a counted error; any other exception is a bug and
+    # must propagate instead of being counted as one
+    def failing(*args):
+        raise DecodeFailure("near-tie")
+
+    monkeypatch.setattr(ccfrelay.cli, "noisy_compute_demo", failing)
+    assert main(["demo-noisy", "--trials", "3"]) == EXIT_OK
+    assert "error_rate=1.0" in capsys.readouterr().out
+
+    def broken(*args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(ccfrelay.cli, "noisy_compute_demo", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["demo-noisy", "--trials", "3"])
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify", "optimize", "demo-noisy"])
+def test_format_flag_is_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

@@ -1,15 +1,22 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ccfrelay import optimizer
 from ccfrelay.errors import ConfigError, NotFullRankError
 from ccfrelay.galois import FieldMatrix, mat_rank, residual_submatrix, srm_index_sets, srq_index_sets
 from ccfrelay.optimizer import (
+    _COMMON_POWER,
+    _SCHEME_VARIANT,
     OptimizerConfig,
-    _Fast2,
-    _ScalarRows,
+    _feasible_perms,
+    _gram,
+    _grid_context,
     _grid_rows,
+    _lll_batched,
     _power_grid,
     enumerate_feasible_permutations,
     evaluate_all,
@@ -20,10 +27,14 @@ from ccfrelay.optimizer import (
     is_unimodular,
     lll_reduce,
     optimize_sum_rate,
+    pi_d_is_feasible,
+    pi_e_is_feasible,
     satisfies_lovasz,
     select_coefficients,
 )
 from ccfrelay.pipeline import ChannelInstance, mmse_noise_power
+from ccfrelay.rates import second_hop_region
+from scalar_oracle import ScalarRows, relay_transforms
 
 
 def test_config_validation():
@@ -193,6 +204,23 @@ def test_feasible_pairs_nonempty_on_full_rank():
         assert next(iter(enumerate_feasible_permutations(Q, pi_c, pi_s)), None) is not None
 
 
+def test_minor_feasibility_matches_rank_checks():
+    rng = np.random.default_rng(8)
+    for gamma in (2, 3, 257):
+        for L in (1, 2, 3, 4):
+            perms = np.array(list(itertools.permutations(range(1, L + 1))))
+            A = rng.integers(-3, 4, size=(30, L, L))
+            pi = np.array([rng.permutation(L) + 1 for _ in range(30)])
+            feas_d = _feasible_perms(A, pi, perms, gamma, "d")
+            feas_e = _feasible_perms(A, pi, perms, gamma, "e")
+            for k in range(30):
+                Q = FieldMatrix(A[k], gamma)
+                key = tuple(int(x) for x in pi[k])
+                for i, perm in enumerate(perms.tolist()):
+                    assert feas_d[k, i] == pi_d_is_feasible(Q, key, tuple(perm))
+                    assert feas_e[k, i] == pi_e_is_feasible(Q, key, tuple(perm))
+
+
 def test_power_grid_shape():
     grid = _power_grid(8.0, 5)
     assert len(grid) == 5
@@ -212,39 +240,96 @@ def test_grid_rows_cap():
     assert np.all(common[:, 0] == common[:, 1])
 
 
-def test_fast_matches_scalar_L2():
-    cfg = OptimizerConfig(nBrute=8)
+@pytest.mark.parametrize("L,nBrute,draws", [(2, 8, 40), (3, 5, 8), (4, 3, 4)])
+def test_batched_matches_scalar_oracle(L, nBrute, draws):
+    # the grid evaluators must take the scalar per-row decisions: the same
+    # reduction transforms and coefficients on every row, and the same
+    # winner and value for every variant.  L = 2 runs its own closed-form
+    # path, whose float order and tie order differ: values to 1e-9 there.
+    cfg = OptimizerConfig(nBrute=nBrute)
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        H = rng.normal(size=(2, 2))
-        g = rng.normal(size=2)
+    for _ in range(draws):
+        H = rng.normal(size=(L, L))
+        g = rng.normal(size=L)
         P = 10 ** rng.uniform(0.0, 2.4)
         caps = 0.5 * np.log2(1.0 + g * g * 0.25 * P)
-        rows = _grid_rows(np.full(2, P), False, cfg)
-        fast = _Fast2(H, caps, rows, cfg.gammaOpt)
-        slow = _ScalarRows(H, caps, rows, cfg.gammaOpt, cfg)
-        for variant in ("symmetric", "srq", "srm", "srmq"):
-            f = fast.evaluate(variant)
-            s = slow.evaluate(variant)
-            assert (f is None) == (s is None)
-            if f is not None:
-                assert abs(f[0] - s[0]) <= 1e-9
+        for common in (True, False):
+            rows = _grid_rows(np.full(L, P), common, cfg)
+            fast = _grid_context(H, caps, rows, cfg.gammaOpt, cfg)
+            slow = ScalarRows(H, caps, rows, cfg.gammaOpt, cfg)
+            assert np.array_equal(fast.A, np.stack([row["A"] for row in slow.rows]))
+            if L > 2:
+                _, T = _lll_batched(np.linalg.cholesky(_gram(H, rows).reshape(-1, L, L)), cfg.lllDelta)
+                want = np.concatenate([relay_transforms(H, p, cfg.lllDelta) for p in rows])
+                assert np.array_equal(T, want)
+            for variant in ("symmetric", "srq", "srm", "srmq"):
+                f = fast.evaluate(variant)
+                s = slow.evaluate(variant)
+                assert (f is None) == (s is None)
+                if f is None:
+                    continue
+                if L == 2:
+                    assert abs(f[0] - s[0]) <= 1e-9
+                    continue
+                assert f[0] == s[0] and f[1] == s[1]
+                assert fast.winner(f[1], f[2])[2:] == slow.winner(s[1], s[2])[2:]
 
 
-def test_reported_rates_match_search_value():
+def test_grid_blocks_bound_memory_and_keep_winners(monkeypatch):
+    # blocks are sized to an element budget, not a row count: an L = 6 srm
+    # bounds block holds 6! * 6 * 6 elements per row.  Block boundaries
+    # must not move the winner.
+    for L in range(1, 8):
+        per_row = math.factorial(L) * L * L
+        rows = optimizer._block_rows(per_row)
+        assert rows == 1 or rows * per_row <= optimizer._BLOCK_ELEMS
+    L = 6
+    rng = np.random.default_rng(9)
+    H = rng.normal(size=(L, L))
+    caps = rng.uniform(2.0, 6.0, size=L)
+    p = rng.uniform(1.0, 100.0, size=(120, L))
+    cfg = OptimizerConfig()
+    ctx = _grid_context(H, caps, p, cfg.gammaOpt, cfg)
+    assert ctx.block < len(p)
+    tracemalloc.start()
+    try:
+        ctx.evaluate("srm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # eight float64 temporaries of the budget
+    assert peak < 8 * 8 * optimizer._BLOCK_ELEMS
+    # two-row blocks and feasibility chunks of a few groups, then one block
+    for budget in (1 << 16, 1 << 40):
+        monkeypatch.setattr(optimizer, "_BLOCK_ELEMS", budget)
+        other = _grid_context(H, caps, p, cfg.gammaOpt, cfg)
+        assert np.array_equal(other.A, ctx.A)
+        for variant in ("symmetric", "srq", "srm"):
+            assert other.evaluate(variant) == ctx.evaluate(variant)
+
+
+@pytest.mark.parametrize("L,nBrute", [(2, 10), (3, 10), (4, 6)])
+def test_reported_rates_match_search_value(L, nBrute):
     # the winner is rebuilt as a full assignment and its rates recomputed
-    # analytically; both paths must agree
-    cfg = OptimizerConfig(nBrute=10)
+    # analytically; the rebuilt sum rate must equal the searched value
+    cfg = OptimizerConfig(nBrute=nBrute)
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        L = int(rng.choice((2, 3)))
+    for _ in range(8):
         H = rng.normal(size=(L, L))
         g = rng.normal(size=L)
         ch = ChannelInstance(H, g, np.full(L, 50.0), np.full(L, 12.5))
+        caps = np.asarray(second_hop_region(ch.g, ch.P_R).perRelayCapacity)
+        contexts = {
+            common: _grid_context(ch.H, caps, _grid_rows(ch.P, common, cfg), cfg.gammaOpt, cfg)
+            for common in (True, False)
+        }
         for scheme, (asg, report) in evaluate_all(ch, cfg).items():
             assert report.feasible
-            if asg is not None:
-                assert report.sumRate >= 0.0
+            picked = contexts[_COMMON_POWER[scheme]].evaluate(_SCHEME_VARIANT[scheme])
+            if picked is None:
+                assert asg is None and report.sumRate == 0.0
+            else:
+                assert abs(picked[0] - report.sumRate) <= 1e-9
 
 
 def test_scheme_dominance_random_draws():
