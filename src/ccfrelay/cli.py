@@ -63,6 +63,8 @@ class RunConfig:
                 raise ConfigError(f"unknown scheme {s!r}")
         if self.L < 1:
             raise ConfigError("L must be >= 1")
+        if self.relayPowerRatio < 0:
+            raise ConfigError("relayPowerRatio must be >= 0")
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
     @property
@@ -205,7 +207,10 @@ def _channel_from_config(mapping: dict) -> ChannelInstance:
         raise ConfigError(f"channel config missing key {exc}") from None
     except ValueError:
         raise ConfigError("channel entries must be numbers") from None
-    return ChannelInstance(H, g, P, P_R)
+    try:
+        return ChannelInstance(H, g, P, P_R)
+    except ValueError as exc:
+        raise ConfigError(f"bad channel: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:

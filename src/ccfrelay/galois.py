@@ -68,11 +68,6 @@ class FieldMatrix:
             return NotImplemented
         return self.modulus == other.modulus and np.array_equal(self.entries, other.entries)
 
-    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.modulus != other.modulus or self.cols != other.rows:
-            raise ValueError("incompatible operands")
-        return FieldMatrix(self.entries @ other.entries, self.modulus)
-
 
 @dataclass(frozen=True)
 class IndexSets:
@@ -90,10 +85,6 @@ class IndexSets:
             raise ValueError("source and relay sets must have equal cardinality")
         object.__setattr__(self, "sourceSet", src)
         object.__setattr__(self, "relaySet", rel)
-
-
-def identity_matrix(n: int, gamma: int) -> FieldMatrix:
-    return FieldMatrix(np.eye(n, dtype=np.int64), gamma)
 
 
 def kappa(x):
@@ -155,12 +146,6 @@ def mat_inverse(M: FieldMatrix) -> FieldMatrix:
     if len(pivots) < n or pivots != list(range(n)):
         raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n} has no inverse")
     return FieldMatrix(work[:, n:], M.modulus)
-
-
-def mat_solve(M: FieldMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve M X = rhs over F_gamma for square full-rank M."""
-    inv = mat_inverse(M)
-    return (inv.entries @ np.mod(np.asarray(rhs, dtype=np.int64), M.modulus)) % M.modulus
 
 
 def residual_submatrix(Q: FieldMatrix, sources, relays) -> FieldMatrix:

@@ -121,26 +121,29 @@ def _require_same_spec(a: ChainPoint, b: ChainPoint) -> None:
         raise SpecMismatchError("points belong to different chain specifications")
 
 
+def combine(points, coeffs) -> ChainPoint:
+    """Exact integer combination sum_i c_i x_i: the field combination d of the
+    digits, with integer carries (sum_i c_i kappa(G d_i) - kappa(G d)) / gamma,
+    an exact division because the two code word terms agree modulo gamma."""
+    spec = points[0].spec
+    raw = words = ints = 0
+    for c, x in zip(map(int, coeffs), points, strict=True):
+        _require_same_spec(points[0], x)
+        raw = raw + c * x.digits
+        words = words + c * spec.code_word(x.digits)
+        ints = ints + c * x.ints
+    digits = np.mod(raw, spec.gamma)
+    return ChainPoint(spec, digits, ints + (words - spec.code_word(digits)) // spec.gamma)
+
+
 def point_add(a: ChainPoint, b: ChainPoint) -> ChainPoint:
-    """Exact group addition; field sum of digits with integer carries."""
-    _require_same_spec(a, b)
-    spec = a.spec
-    digits = np.mod(a.digits + b.digits, spec.gamma)
-    carry_num = spec.code_word(a.digits) + spec.code_word(b.digits) - spec.code_word(digits)
-    # carry_num is divisible by gamma entry-wise because the three code
-    # words agree modulo gamma.
-    ints = a.ints + b.ints + carry_num // spec.gamma
-    return ChainPoint(spec, digits, ints)
+    """Exact group addition."""
+    return combine((a, b), (1, 1))
 
 
 def point_scale(a: ChainPoint, c: int) -> ChainPoint:
     """Exact integer scaling; negative multipliers supported."""
-    spec = a.spec
-    c = int(c)
-    digits = np.mod(c * a.digits, spec.gamma)
-    carry_num = c * spec.code_word(a.digits) - spec.code_word(digits)
-    ints = c * a.ints + carry_num // spec.gamma
-    return ChainPoint(spec, digits, ints)
+    return combine((a,), (c,))
 
 
 def point_neg(a: ChainPoint) -> ChainPoint:
@@ -148,7 +151,7 @@ def point_neg(a: ChainPoint) -> ChainPoint:
 
 
 def point_sub(a: ChainPoint, b: ChainPoint) -> ChainPoint:
-    return point_add(a, point_neg(b))
+    return combine((a, b), (1, -1))
 
 
 def mod_level(x: ChainPoint, k: int) -> ChainPoint:
@@ -199,31 +202,6 @@ def decode_codeword(t: ChainPoint, lp: LevelPair) -> np.ndarray:
     if np.any(t.digits[..., : lp.kShaping] != 0) or np.any(t.digits[..., lp.kCoding :] != 0):
         raise NotInCodebookError("digits outside the codebook slice must be zero")
     return t.digits[..., lp.kShaping : lp.kCoding].copy()
-
-
-def split_codeword(t: ChainPoint, levels) -> list:
-    """Layer decomposition of a canonical point along ascending cut levels.
-
-    ``levels`` is a strictly ascending list of digit levels; component i
-    holds the digits of t in positions (levels[i], levels[i+1]] with the
-    final upper bound kMax.  Components sum back to t after reduction
-    modulo the coarsest level.
-    """
-    spec = t.spec
-    levels = [int(k) for k in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("cut levels must be strictly ascending")
-    if levels and not 0 <= levels[0] <= spec.kMax:
-        raise ValueError("cut levels must lie in [0, kMax]")
-    if np.any(t.ints != 0) or (levels and np.any(t.digits[..., : levels[0]] != 0)):
-        raise NotInCodebookError("point must be canonical under the coarsest cut level")
-    bounds = levels + [spec.kMax]
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        digits = np.zeros_like(t.digits)
-        digits[..., lo:hi] = t.digits[..., lo:hi]
-        parts.append(ChainPoint(spec, digits, np.zeros_like(t.ints)))
-    return parts
 
 
 def real_embed(x: ChainPoint) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, NoIndependentRowError, NotFullRankError
 from .galois import (
     FieldMatrix,
+    _check_prime,
     mat_rank,
     residual_submatrix,
     srm_index_sets,
@@ -89,6 +90,10 @@ class OptimizerConfig:
             raise ConfigError("lllDelta must lie in (0.25, 1)")
         if self.schemeVariant not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.schemeVariant!r}")
+        try:
+            _check_prime(self.gammaOpt)
+        except ValueError as exc:
+            raise ConfigError(f"gammaOpt: {exc}") from None
 
 
 def _gram(H, p_rows) -> np.ndarray:

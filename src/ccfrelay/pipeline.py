@@ -16,18 +16,8 @@ import numpy as np
 
 from .errors import DecodeFailure, SpecMismatchError
 from .galois import FieldMatrix, is_permutation, mat_rank
-from .lattice import (
-    ChainPoint,
-    ChainSpec,
-    LevelPair,
-    encode_message,
-    mod_level,
-    point_add,
-    point_scale,
-    quantize_level,
-    real_embed,
-    zero_point,
-)
+from .lattice import ChainPoint, ChainSpec, LevelPair, combine, encode_message, mod_level, quantize_level, real_embed
+from .lattice import point_add, point_scale  # noqa: F401  (perfbench/spans.py wraps these pipeline bindings)
 
 
 @dataclass(frozen=True)
@@ -134,6 +124,8 @@ class ChannelInstance:
         for arr in (H, g, P, P_R):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("channel entries must be finite")
+        if np.any(P <= 0) or np.any(P_R < 0):
+            raise ValueError("source powers P must be positive and relay powers P_R non-negative")
         for name, arr in (("H", H), ("g", g), ("P", P), ("P_R", P_R)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
@@ -152,13 +144,9 @@ def relay_combination(t, m: int, asg: SchemeAssignment) -> ChainPoint:
     """Exact integer combination sum_l a_ml t_l decoded at relay m."""
     if len(t) != asg.L:
         raise ValueError(f"expected {asg.L} codewords, got {len(t)}")
-    batch = t[0].batch_shape
-    delta = zero_point(asg.spec, batch)
-    for l, t_l in enumerate(t, start=1):
-        if t_l.spec != asg.spec:
-            raise SpecMismatchError("codeword spec differs from assignment spec")
-        delta = point_add(delta, point_scale(t_l, int(asg.A[m - 1, l - 1])))
-    return delta
+    if any(t_l.spec != asg.spec for t_l in t):
+        raise SpecMismatchError("codeword spec differs from assignment spec")
+    return combine(t, asg.A[m - 1])
 
 
 def compress(delta: ChainPoint, m: int, asg: SchemeAssignment) -> ChainPoint:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InfeasibleStructureError, VariantMismatchError
 from .galois import perm_inverse
-from .pipeline import ChannelInstance, SchemeAssignment, mmse_noise_power
+from .pipeline import SchemeAssignment, mmse_noise_power
 
 VARIANTS = ("srq", "srm", "srmq", "symmetric")
 
@@ -174,7 +174,3 @@ def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion,
         feasible=True,
         limiting=limiting,
     )
-
-
-def region_from_channel(channel: ChannelInstance) -> SecondHopRegion:
-    return second_hop_region(channel.g, channel.P_R)

@@ -9,6 +9,15 @@ Three algorithms, all exact over the digit lattice chain:
 - srmq: both asymmetries; an srq pass above the finest shaping lattice,
   cancellation, then an srm pass below it.
 
+Every relay output and every recovered codeword is a canonical residue:
+its integer part is zero, so its digits fix it.  The digits of a sum, an
+integer multiple, a quantization or a residue modulo a chain lattice
+depend only on the operands' digits; integer parts only ever feed the
+integer part of a result, which reduction to a canonical residue drops.
+The recovery therefore runs on int64 digit arrays over F_gamma of shape
+(L, batch..., kMax), row m-1 (or l-1) belonging to relay m (or source l),
+and builds ChainPoints only for its results.
+
 Inputs may carry leading batch axes; every iteration is vectorized over
 the batch.
 """
@@ -19,22 +28,60 @@ import numpy as np
 
 from .errors import SingularMatrixError, SingularResidualError, SpecMismatchError
 from .galois import mat_inverse, residual_submatrix, srm_index_sets, srq_index_sets
-from .lattice import ChainPoint, mod_level, point_add, point_scale, point_sub, quantize_level, zero_point
+from .lattice import ChainPoint
+from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
 from .pipeline import SchemeAssignment
 
 
-def _check_inputs(v, asg: SchemeAssignment) -> None:
+def _relay_digits(v, asg: SchemeAssignment) -> np.ndarray:
+    """Check the relay outputs against the assignment; stack their digits."""
     if len(v) != asg.L:
         raise ValueError(f"expected {asg.L} relay outputs, got {len(v)}")
-    for v_m in v:
-        if v_m.spec != asg.spec:
-            raise SpecMismatchError("relay output spec differs from assignment spec")
+    if any(v_m.spec != asg.spec for v_m in v):
+        raise SpecMismatchError("relay output spec differs from assignment spec")
+    return np.stack([v_m.digits for v_m in v])
 
 
-def _solve_layer(Q_sub, inv_entries, slices, gamma):
-    """Left-multiply stacked digit slices by an inverse over F_gamma."""
-    U = np.stack(slices, axis=0)
-    return np.tensordot(inv_entries, U, axes=(1, 0)) % gamma
+def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> np.ndarray:
+    """Stacked dither digits; None (for the list or an entry) is the zero dither."""
+    D = np.zeros((asg.L,) + batch + (asg.spec.kMax,), dtype=np.int64)
+    for l, d in enumerate(dithers or ()):
+        if d is not None:
+            if d.spec != asg.spec:
+                raise SpecMismatchError("dither spec differs from assignment spec")
+            D[l] = d.digits
+    return D
+
+
+def _points(spec, D: np.ndarray) -> list:
+    """Canonical residues with the digit rows of D."""
+    zeros = np.zeros(D.shape[1:-1] + (spec.n,), dtype=np.int64)
+    return [ChainPoint(spec, d, zeros) for d in D]
+
+
+def _below(levels, shape: tuple) -> np.ndarray:
+    """Per-row mask of the digit positions below that row's level, shaped to
+    broadcast over a digit array of the given shape."""
+    mask = np.arange(shape[-1]) < np.asarray(levels)[:, None]
+    return mask.reshape((len(levels),) + (1,) * (len(shape) - 2) + (shape[-1],))
+
+
+def _cancel(V, A, T, gamma: int, quant, fold) -> np.ndarray:
+    """Digits of [v_m - Q_quant[m](sum_l a_ml t_l)] mod Lambda(fold[m]) for
+    every relay m, from relay digits V and source digits T."""
+    C = np.tensordot(A, T, axes=(1, 0)) * _below(quant, V.shape)
+    return np.mod(V - C, gamma) * ~_below(fold, V.shape)
+
+
+def _solve_layer(asg: SchemeAssignment, sets, V, band, phase: str, iteration: int) -> np.ndarray:
+    """Digits of the residual sources in one digit band: the inverse of the
+    residual matrix times the residual relays' digits."""
+    try:
+        inv = mat_inverse(residual_submatrix(asg.field_image, sets.sourceSet, sets.relaySet))
+    except SingularMatrixError:
+        raise SingularResidualError(phase, iteration) from None
+    U = V[np.subtract(sets.relaySet, 1), ..., band]
+    return np.tensordot(inv.entries, U, axes=(1, 0)) % asg.spec.gamma
 
 
 def srq(v, asg: SchemeAssignment, common_shaping_level: int):
@@ -44,54 +91,22 @@ def srq(v, asg: SchemeAssignment, common_shaping_level: int):
     of relay m modulo the common shaping lattice.  Returns the recovered
     codewords, indexed by source.
     """
-    _check_inputs(v, asg)
-    spec = asg.spec
+    V0 = _relay_digits(v, asg)
     L = asg.L
-    Q = asg.field_image
-    batch = v[0].batch_shape
     coding = asg.codingLevels
     if coding[-1] < common_shaping_level:
         raise ValueError("common shaping lattice must be coarser than every coding lattice")
+    quant = [asg.quantize_level_of(m) for m in range(1, L + 1)]
 
-    # layers[l-1][j-1] holds the recovered layer-j component of source l.
-    layers = [[None] * L for _ in range(L)]
-    v_work = list(v)
+    # T[l-1] holds the digits of source l recovered so far, one coding
+    # layer (digit band) per iteration.
+    T = np.zeros_like(V0)
     for j in range(1, L + 1):
-        k_hi = coding[j - 1]
-        k_lo = coding[j] if j < L else common_shaping_level
+        V = _cancel(V0, asg.A, T, asg.spec.gamma, quant, [common_shaping_level] * L)
+        band = np.s_[coding[j] if j < L else common_shaping_level : coding[j - 1]]
         sets = srq_index_sets(asg.pi_c, asg.pi_d, j)
-        try:
-            inv = mat_inverse(residual_submatrix(Q, sets.sourceSet, sets.relaySet))
-        except SingularMatrixError:
-            raise SingularResidualError("quantization", j) from None
-        slices = [v_work[m - 1].digits[..., k_lo:k_hi] for m in sets.relaySet]
-        W = _solve_layer(Q, inv.entries, slices, spec.gamma)
-        for row, l in enumerate(sets.sourceSet):
-            digits = np.zeros(batch + (spec.kMax,), dtype=np.int64)
-            digits[..., k_lo:k_hi] = W[row]
-            layers[l - 1][j - 1] = ChainPoint(spec, digits, np.zeros(batch + (spec.n,), dtype=np.int64))
-        if j < L:
-            cumulative = []
-            for l in sets.sourceSet:
-                acc = zero_point(spec, batch)
-                for mu in range(asg.pi_c[l - 1], j + 1):
-                    acc = point_add(acc, layers[l - 1][mu - 1])
-                cumulative.append((l, acc))
-            next_relays = srq_index_sets(asg.pi_c, asg.pi_d, j + 1).relaySet
-            for m in next_relays:
-                corr = zero_point(spec, batch)
-                for l, acc in cumulative:
-                    corr = point_add(corr, point_scale(acc, int(asg.A[m - 1, l - 1])))
-                corr = quantize_level(corr, asg.quantize_level_of(m))
-                v_work[m - 1] = mod_level(point_sub(v[m - 1], corr), common_shaping_level)
-
-    out = []
-    for l in range(1, L + 1):
-        acc = zero_point(spec, batch)
-        for mu in range(asg.pi_c[l - 1], L + 1):
-            acc = point_add(acc, layers[l - 1][mu - 1])
-        out.append(mod_level(acc, common_shaping_level))
-    return out
+        T[np.subtract(sets.sourceSet, 1), ..., band] = _solve_layer(asg, sets, V, band, "quantization", j)
+    return _points(asg.spec, T)
 
 
 def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
@@ -103,40 +118,28 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     digit level of the common fine lattice the codewords live on; it
     defaults to the finest coding level of the assignment.
     """
-    _check_inputs(v, asg)
+    V = _relay_digits(v, asg)
     spec = asg.spec
     L = asg.L
-    Q = asg.field_image
-    batch = v[0].batch_shape
     if fine_level is None:
         fine_level = asg.codingLevels[0]
-    if dithers is None:
-        dithers = [None] * L
+    D = _dither_digits(dithers, asg, V.shape[1:-1])
+    fold = [asg.modulo_level_of(m) for m in range(1, L + 1)]
 
-    t_hat = [None] * L
-    v_work = list(v)
+    T = np.zeros_like(V)
     for i in range(1, L + 1):
         k_i = asg.shapingLevels[i - 1]
         sets = srm_index_sets(asg.pi_s, asg.pi_e, i)
-        try:
-            inv = mat_inverse(residual_submatrix(Q, sets.sourceSet, sets.relaySet))
-        except SingularMatrixError:
-            raise SingularResidualError("modulo", i) from None
-        slices = [v_work[m - 1].digits[..., k_i:fine_level] for m in sets.relaySet]
-        W = _solve_layer(Q, inv.entries, slices, spec.gamma)
+        W = _solve_layer(asg, sets, V, np.s_[k_i:fine_level], "modulo", i)
         l_star = asg.pi_s.index(i) + 1
-        row = sets.sourceSet.index(l_star)
-        digits = np.zeros(batch + (spec.kMax,), dtype=np.int64)
-        digits[..., k_i:fine_level] = W[row]
-        t_hat[l_star - 1] = ChainPoint(spec, digits, np.zeros(batch + (spec.n,), dtype=np.int64))
+        T[l_star - 1, ..., k_i:fine_level] = W[sets.sourceSet.index(l_star)]
         if i < L:
-            d = dithers[l_star - 1]
-            shifted = t_hat[l_star - 1] if d is None else point_sub(t_hat[l_star - 1], d)
-            t_tilde = point_sub(t_hat[l_star - 1], quantize_level(shifted, k_i))
-            for m in srm_index_sets(asg.pi_s, asg.pi_e, i + 1).relaySet:
-                scaled = point_scale(t_tilde, int(asg.A[m - 1, l_star - 1]))
-                v_work[m - 1] = mod_level(point_sub(v_work[m - 1], scaled), asg.modulo_level_of(m))
-    return t_hat
+            # t - Q_{k_i}(t - d); relays that leave the residual sets here
+            # are never read again
+            t = T[l_star - 1]
+            t_tilde = t - (t - D[l_star - 1]) * (np.arange(spec.kMax) < k_i)
+            V = _cancel(V, asg.A[:, [l_star - 1]], t_tilde[None], spec.gamma, [spec.kMax] * L, fold)
+    return _points(spec, T)
 
 
 def srmq(v, dithers, asg: SchemeAssignment):
@@ -146,34 +149,18 @@ def srmq(v, dithers, asg: SchemeAssignment):
     recovered fine parts, shifts the dithers, and finishes with srm on the
     remaining coarse system.
     """
-    _check_inputs(v, asg)
+    V0 = _relay_digits(v, asg)
     spec = asg.spec
-    L = asg.L
-    batch = v[0].batch_shape
     k_b1 = asg.shapingLevels[0]
-    if dithers is None:
-        dithers = [None] * L
 
-    v_fine = [mod_level(v_m, k_b1) for v_m in v]
-    t_quan = srq(v_fine, asg, k_b1)
+    t_quan = srq(_points(spec, V0 * ~_below([k_b1] * asg.L, V0.shape)), asg, k_b1)
+    Tq = np.stack([t.digits for t in t_quan])
+    quant = [asg.quantize_level_of(m) for m in range(1, asg.L + 1)]
+    fold = [asg.modulo_level_of(m) for m in range(1, asg.L + 1)]
+    V_quan = _cancel(V0, asg.A, Tq, spec.gamma, quant, fold)
+    D_quan = np.mod(_dither_digits(dithers, asg, V0.shape[1:-1]) - Tq, spec.gamma)
 
-    v_quan = []
-    for m in range(1, L + 1):
-        corr = zero_point(spec, batch)
-        for l in range(1, L + 1):
-            corr = point_add(corr, point_scale(t_quan[l - 1], int(asg.A[m - 1, l - 1])))
-        corr = quantize_level(corr, asg.quantize_level_of(m))
-        v_quan.append(mod_level(point_sub(v[m - 1], corr), asg.modulo_level_of(m)))
-
-    d_quan = []
-    for l in range(1, L + 1):
-        d = zero_point(spec, batch) if dithers[l - 1] is None else dithers[l - 1]
-        d_quan.append(point_sub(d, t_quan[l - 1]))
-
-    t_mod = srm(v_quan, d_quan, asg, fine_level=k_b1)
-
-    out = []
-    for l in range(1, L + 1):
-        combined = point_add(t_quan[l - 1], t_mod[l - 1])
-        out.append(mod_level(combined, asg.shaping_level(l)))
-    return out
+    t_mod = srm(_points(spec, V_quan), _points(spec, D_quan), asg, fine_level=k_b1)
+    Tm = np.stack([t.digits for t in t_mod])
+    shaping = [asg.shaping_level(l) for l in range(1, asg.L + 1)]
+    return _points(spec, np.mod(Tq + Tm, spec.gamma) * ~_below(shaping, Tq.shape))

@@ -49,6 +49,8 @@ def test_run_config_validation():
         RunConfig(schemes=())
     with pytest.raises(ConfigError):
         RunConfig(schemes=("bogus",))
+    with pytest.raises(ConfigError):
+        RunConfig(relayPowerRatio=-0.1)
 
 
 def test_snr_points_inclusive():
@@ -221,6 +223,23 @@ def test_main_optimize(tmp_path, capsys):
     assert main(["optimize"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "channel",
+    [
+        "H = 1 0 0; 0 1 0\ng = 1 1\nP = 1 1\nP_R = 1 1\n",
+        "H = 1 0; 0 1\ng = 1 1\nP = 0 1\nP_R = 1 1\n",
+        "H = 1 0; 0 1\ng = 1 1\nP = -1 1\nP_R = 1 1\n",
+        "H = 1 0; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 -1\n",
+    ],
+    ids=["non-square-H", "zero-P", "negative-P", "negative-P_R"],
+)
+def test_main_optimize_rejects_degenerate_channel(channel, tmp_path, capsys):
+    cfg = tmp_path / "chan.cfg"
+    cfg.write_text(channel, encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg), "--schemes", "scf"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_demo_noisy(capsys):
     assert main(["demo-noisy", "--trials", "20", "--seed", "5"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -260,4 +279,11 @@ def test_gamma_exact_config_key_is_rejected(tmp_path):
     path.write_text("gammaExact = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         config_from_mapping(parse_config_file(str(path)))
+    assert main(["sweep", "--config", str(path), "--trials", "1", "--L", "1"]) == EXIT_CONFIG
+
+
+def test_non_prime_gamma_opt_is_rejected(tmp_path):
+    # rejected before the grid search, not when the winner is rebuilt
+    path = tmp_path / "run.cfg"
+    path.write_text("gammaOpt = 4\n", encoding="utf-8")
     assert main(["sweep", "--config", str(path), "--trials", "1", "--L", "1"]) == EXIT_CONFIG

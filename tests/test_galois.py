@@ -11,13 +11,11 @@ from ccfrelay.galois import (
     FieldScalar,
     feasible_pi_d,
     feasible_pi_e,
-    identity_matrix,
     is_permutation,
     kappa,
     kappa_inv,
     mat_inverse,
     mat_rank,
-    mat_solve,
     perm_inverse,
     residual_submatrix,
     srm_index_sets,
@@ -98,26 +96,6 @@ def test_inverse_roundtrip_and_singular_detection():
         else:
             with pytest.raises(SingularMatrixError):
                 mat_inverse(M)
-
-
-def test_solve_agrees_with_inverse():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        gamma = int(rng.choice(PRIMES))
-        L = int(rng.integers(1, 4))
-        while True:
-            M = random_matrix(rng, L, L, gamma)
-            if mat_rank(M) == L:
-                break
-        b = rng.integers(0, gamma, size=(L, 2))
-        x = mat_solve(M, b)
-        assert np.array_equal((M.entries @ x) % gamma, b % gamma)
-
-
-def test_identity_matrix():
-    I = identity_matrix(3, 5)
-    assert np.array_equal(I.entries, np.eye(3, dtype=np.int64))
-    assert mat_rank(I) == 3
 
 
 def test_residual_submatrix_indexing():

@@ -11,6 +11,7 @@ from ccfrelay.lattice import (
     ChainPoint,
     ChainSpec,
     LevelPair,
+    combine,
     decode_codeword,
     encode_message,
     make_chain_spec,
@@ -21,7 +22,6 @@ from ccfrelay.lattice import (
     point_sub,
     quantize_level,
     real_embed,
-    split_codeword,
     zero_point,
 )
 
@@ -66,10 +66,13 @@ def test_point_validation():
 
 
 def test_embedding_is_group_homomorphism():
+    # n > kMax puts parity rows under the carries
     rng = np.random.default_rng(0)
-    for spec in specs(rng):
+    parity = [make_chain_spec(gamma, n, k, rng=rng) for gamma, n, k in ((2, 5, 2), (3, 4, 2), (5, 6, 3), (7, 3, 1))]
+    for spec in list(specs(rng)) + parity:
         x = rand_point(spec, rng, batch=(6,))
         y = rand_point(spec, rng, batch=(6,))
+        w = rand_point(spec, rng, batch=(6,))
         np.testing.assert_allclose(
             real_embed(point_add(x, y)), real_embed(x) + real_embed(y), atol=1e-9
         )
@@ -77,6 +80,12 @@ def test_embedding_is_group_homomorphism():
             np.testing.assert_allclose(
                 real_embed(point_scale(x, c)), c * real_embed(x), atol=1e-9
             )
+        c = rng.integers(-7, 8, size=3)
+        np.testing.assert_allclose(
+            real_embed(combine([x, y, w], c)),
+            c[0] * real_embed(x) + c[1] * real_embed(y) + c[2] * real_embed(w),
+            atol=1e-9,
+        )
 
 
 def test_representation_unique_exhaustive():
@@ -178,24 +187,6 @@ def test_encode_decode_errors():
     bad_int = ChainPoint(spec, np.array([0, 1, 0]), np.array([1, 0, 0]))
     with pytest.raises(NotInCodebookError):
         decode_codeword(bad_int, lp)
-
-
-def test_split_codeword_recombines():
-    rng = np.random.default_rng(7)
-    spec = make_chain_spec(3, 4, 4, rng=rng)
-    digits = np.zeros((5, 4), dtype=np.int64)
-    digits[:, 1:] = rng.integers(0, 3, size=(5, 3))
-    t = ChainPoint(spec, digits, np.zeros((5, 4), dtype=np.int64))
-    parts = split_codeword(t, [1, 2])
-    assert len(parts) == 2
-    acc = zero_point(spec, (5,))
-    for part in parts:
-        acc = point_add(acc, part)
-    assert mod_level(acc, 1) == t
-    with pytest.raises(ValueError):
-        split_codeword(t, [2, 2])
-    with pytest.raises(NotInCodebookError):
-        split_codeword(ChainPoint(spec, np.ones((4,), dtype=np.int64), np.zeros(4, dtype=np.int64)), [1])
 
 
 def test_spec_mismatch_rejected():

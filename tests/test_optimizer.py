@@ -42,6 +42,8 @@ def test_config_validation():
         OptimizerConfig(lllDelta=1.0)
     with pytest.raises(ConfigError):
         OptimizerConfig(schemeVariant="nope")
+    with pytest.raises(ConfigError):
+        OptimizerConfig(gammaOpt=4)
 
 
 def test_gram_matrix_matches_noise_power():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccfrelay.errors import DecodeFailure, SpecMismatchError
-from ccfrelay.lattice import make_chain_spec, mod_level, point_add, point_scale, quantize_level, zero_point
+from ccfrelay.lattice import make_chain_spec, mod_level, quantize_level, real_embed
 from ccfrelay.pipeline import (
     ChannelInstance,
     SchemeAssignment,
@@ -69,6 +69,10 @@ def test_channel_validation():
         ChannelInstance(np.zeros((2, 2)), np.zeros(3), np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
         ChannelInstance(np.full((2, 2), np.nan), np.zeros(2), np.ones(2), np.ones(2))
+    for P, P_R in (([0.0, 1.0], [1.0, 1.0]), ([-1.0, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, -0.5])):
+        with pytest.raises(ValueError):
+            ChannelInstance(np.eye(2), np.ones(2), np.array(P), np.array(P_R))
+    ChannelInstance(np.eye(2), np.ones(2), np.ones(2), np.zeros(2))  # silent relays are allowed
 
 
 def test_relay_combination_is_integer_linear():
@@ -77,10 +81,8 @@ def test_relay_combination_is_integer_linear():
     msgs = random_messages(rng, asg, 8)
     t = encode_all(msgs, asg)
     for m in range(1, 4):
-        expect = zero_point(asg.spec, (8,))
-        for l in range(1, 4):
-            expect = point_add(expect, point_scale(t[l - 1], int(asg.A[m - 1, l - 1])))
-        assert relay_combination(t, m, asg) == expect
+        expect = sum(int(asg.A[m - 1, l - 1]) * real_embed(t[l - 1]) for l in range(1, 4))
+        np.testing.assert_allclose(real_embed(relay_combination(t, m, asg)), expect, atol=1e-9)
 
 
 def test_compress_is_quantize_then_mod():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccfrelay.errors import InfeasibleStructureError, VariantMismatchError
-from ccfrelay.pipeline import ChannelInstance, SchemeAssignment, mmse_noise_power
+from ccfrelay.pipeline import SchemeAssignment, mmse_noise_power
 from ccfrelay.rates import (
     COMPUTATION_LIMITED,
     FORWARDING_LIMITED,
@@ -14,7 +14,6 @@ from ccfrelay.rates import (
     forwarding_source,
     max_rates_given_structure,
     region_check,
-    region_from_channel,
     second_hop_region,
 )
 from ccfrelay.verify import random_assignment
@@ -48,11 +47,6 @@ def test_second_hop_region_formula():
     )
     with pytest.raises(ValueError):
         SecondHopRegion((-0.1,))
-
-
-def test_region_from_channel_matches():
-    ch = ChannelInstance(np.eye(2), np.array([1.0, 2.0]), np.ones(2), np.array([3.0, 4.0]))
-    assert region_from_channel(ch).perRelayCapacity == second_hop_region(ch.g, ch.P_R).perRelayCapacity
 
 
 def test_computation_rate_formula():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccfrelay.errors import SingularResidualError, SpecMismatchError
-from ccfrelay.lattice import make_chain_spec, mod_level, point_sub
+from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, point_sub
 from ccfrelay.pipeline import SchemeAssignment, relay_combination
 from ccfrelay.recovery import srm, srmq, srq
 from ccfrelay.verify import encode_all, random_assignment, random_messages, relay_outputs
@@ -51,28 +51,28 @@ def test_srmq_recovers_ground_truth():
             assert got[l] == t[l]
 
 
-def test_srm_with_nonzero_dithers():
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("algo", [srm, srmq])
+def test_srm_with_nonzero_dithers(algo, L):
     # sources transmit x = [t - d] mod shaping; the relays see combinations
     # of x, and recovery must re-attach the dithers
     rng = np.random.default_rng(3)
     for _ in range(20):
-        asg, t = exact_case(rng, 3, 4, 2, common_shaping=False)
+        asg, t = exact_case(rng, 3, 4, L, common_shaping=False)
         dithers = []
         x = []
         for l in range(1, asg.L + 1):
             d_digits = np.zeros((32, 4), dtype=np.int64)
             lo, hi = asg.shaping_level(l), asg.coding_level(l)
             d_digits[:, lo:hi] = rng.integers(0, 3, size=(32, hi - lo))
-            from ccfrelay.lattice import ChainPoint
-
             d = ChainPoint(asg.spec, d_digits, np.zeros((32, 4), dtype=np.int64))
             dithers.append(d)
             x.append(mod_level(point_sub(t[l - 1], d), asg.shaping_level(l)))
-        v = [
-            mod_level(relay_combination(x, m, asg), asg.modulo_level_of(m))
-            for m in range(1, asg.L + 1)
-        ]
-        got = srm(v, dithers, asg)
+        if algo is srm:
+            v = [mod_level(relay_combination(x, m, asg), asg.modulo_level_of(m)) for m in range(1, asg.L + 1)]
+        else:
+            v = relay_outputs(x, asg)
+        got = algo(v, dithers, asg)
         for l in range(1, asg.L + 1):
             want = mod_level(point_sub(t[l - 1], dithers[l - 1]), asg.shaping_level(l))
             assert got[l - 1] == want
@@ -141,16 +141,15 @@ def test_spec_mismatch_rejected():
     t = encode_all(random_messages(np.random.default_rng(7), asg, 4), asg)
     c = asg.shapingLevels[0]
     v = relay_outputs(t, asg, common_shaping_level=c)
-    from ccfrelay.lattice import ChainPoint
-
     bad = [ChainPoint(other, v[0].digits, v[0].ints), v[1]]
     with pytest.raises(SpecMismatchError):
         srq(bad, asg, c)
 
 
-def test_recovery_batched_matches_scalar():
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_recovery_batched_matches_scalar(L):
     rng = np.random.default_rng(9)
-    asg, t = exact_case(rng, 3, 4, 2, common_shaping=False)
+    asg, t = exact_case(rng, 3, 4, L, common_shaping=False)
     v = relay_outputs(t, asg)
     batched = srmq(v, None, asg)
     for idx in (0, 7, 31):
