@@ -15,9 +15,11 @@ restrict the search space:
 One evaluator, ``_Grid``, runs the search at every size over the whole
 power grid at once, in blocks of grid rows: coefficient selection, rates,
 permutation feasibility (computed once per distinct coefficient matrix
-and ordering) and the variant bounds.  Only the reduction depends on L:
-L = 2 takes the exact two-dimensional (Gauss) reduction, other sizes a
-masked batched LLL, both followed by a rank-greedy selection over F_gamma.
+and ordering) and the variant bounds.  Only coefficient selection depends
+on L.  L = 2 runs sort-free on (N,) columns: the exact two-dimensional
+(Gauss) reduction, then a masked lexicographic minimum over four candidate
+rows per relay.  Other sizes take a masked batched LLL and a rank-greedy
+selection over F_gamma.
 """
 
 from __future__ import annotations
@@ -224,67 +226,65 @@ def lll_reduce(basis, delta: float = 0.75):
     return B[0], T[0]
 
 
-def _lagrange2(g11, g12, g22):
-    """Batched two-dimensional reduction on Gram data.
-
-    Returns the two reduced integer coordinate rows, shorter first."""
-    N = g11.shape[0]
-    u = np.tile(np.array([1, 0], dtype=np.int64), (N, 1))
-    v = np.tile(np.array([0, 1], dtype=np.int64), (N, 1))
-    a = g11.astype(float).copy()
-    b = g12.astype(float).copy()
-    c = g22.astype(float).copy()
+def _lagrange2(a, b, c):
+    """Batched two-dimensional (Gauss) reduction on Gram data (g11, g12,
+    g22): the reduced integer coordinate rows, shorter first, as columns
+    (u0, u1, v0, v1).  Raises when a step leaves the int64 range (the Gram
+    data has lost its precision) or 64 passes do not converge."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
     for _ in range(64):
         swap = c < a
-        if np.any(swap):
-            u[swap], v[swap] = v[swap].copy(), u[swap].copy()
-            a[swap], c[swap] = c[swap].copy(), a[swap].copy()
-        r = np.rint(b / np.where(a > 0, a, 1.0))
+        u0, u1, v0, v1 = (np.where(swap, s, t) for s, t in ((v0, u0), (v1, u1), (u0, v0), (u1, v1)))
+        a, c = np.where(swap, c, a), np.where(swap, a, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.rint(b / np.where(a > 0, a, 1.0))
         step = r != 0
-        if not np.any(step):
+        if not np.all(np.abs(r) < 2.0**63) or not np.any(step):
             break
-        rs = r[step]
-        v[step] -= rs[:, None].astype(np.int64) * u[step]
-        c[step] += rs * rs * a[step] - 2.0 * rs * b[step]
-        b[step] -= rs * a[step]
-    return u, v
+        ri = r.astype(np.int64)
+        v0, v1 = v0 - ri * u0, v1 - ri * u1
+        c = np.where(step, c + (r * r * a - 2.0 * r * b), c)
+        b = np.where(step, b - r * a, b)
+    if np.any(step):
+        raise RuntimeError("reduction failed to converge")
+    return u0, u1, v0, v1
 
 
-def _candidates2(D: np.ndarray):
-    """Sorted candidate coefficient rows for one relay at L = 2.
+def _metric2(x, y, D):
+    """Metric of the rows (x, y) under D (N, 2, 2), summed in the order of
+    ``np.einsum("nci,nij,ncj->nc")``."""
+    x, y = x.astype(float), y.astype(float)
+    return ((x * D[:, 0, 0] * x + x * D[:, 0, 1] * y) + y * D[:, 1, 0] * x) + y * D[:, 1, 1] * y
 
-    Candidates are the two reduced basis rows plus the unit vectors,
-    sign-normalized, ordered by metric then lexicographically."""
-    N = D.shape[0]
-    u, v = _lagrange2(D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
-    e1 = np.tile(np.array([1, 0], dtype=np.int64), (N, 1))
-    e2 = np.tile(np.array([0, 1], dtype=np.int64), (N, 1))
-    cand = np.stack([u, v, e1, e2], axis=1)
-    lead = np.where(cand[..., 0] != 0, cand[..., 0], cand[..., 1])
-    cand = cand * np.where(lead < 0, -1, 1)[..., None]
-    met = np.einsum("nci,nij,ncj->nc", cand, D, cand)
-    order = np.lexsort((cand[..., 1], cand[..., 0], met), axis=-1)
-    return np.take_along_axis(cand, order[..., None], axis=1)
+
+def _pick2(D, ok):
+    """Columns (x, y, found) of one relay's smallest candidate row at L = 2
+    that ``ok(x, y)`` admits, lexicographically in (metric, x, y), the
+    first one winning exact ties.  The candidates are the two reduced rows
+    of D (N, 2, 2) and the unit vectors, sign-normalized."""
+    u0, u1, v0, v1 = _lagrange2(D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
+    x, y, met, found = 0, 0, np.inf, False
+    for xk, yk in ((u0, u1), (v0, v1), (1, 0), (0, 1)):
+        sign = np.where(np.where(xk != 0, xk, yk) < 0, -1, 1)
+        xk, yk = sign * xk, sign * yk
+        mk = _metric2(xk, yk, D)
+        less = (mk < met) | ((mk == met) & ((xk < x) | ((xk == x) & (yk < y))))
+        take = ok(xk, yk) & (~found | less)
+        x, y, met = np.where(take, xk, x), np.where(take, yk, y), np.where(take, mk, met)
+        found = found | take
+    return x, y, found
 
 
 def _select_A2(D: np.ndarray, gamma: int):
     """Batched coefficient selection at L = 2.
 
-    ``D`` has shape (N, 2, 2, 2), indexed by row then relay.  Returns the
-    integer matrices (N, 2, 2) and a mask of rows where a full-rank choice
-    modulo gamma exists."""
-    c1 = _candidates2(D[:, 0])
-    c2 = _candidates2(D[:, 1])
-    ok1 = np.any(c1 % gamma != 0, axis=-1)
-    idx1 = np.argmax(ok1, axis=1)
-    a1 = np.take_along_axis(c1, idx1[:, None, None], axis=1)[:, 0, :]
-    valid = ok1.any(axis=1)
-    dets = a1[:, None, 0] * c2[..., 1] - a1[:, None, 1] * c2[..., 0]
-    ok2 = dets % gamma != 0
-    idx2 = np.argmax(ok2, axis=1)
-    a2 = np.take_along_axis(c2, idx2[:, None, None], axis=1)[:, 0, :]
-    valid &= ok2.any(axis=1)
-    return np.stack([a1, a2], axis=1), valid
+    ``D`` has shape (N, 2, 2, 2), indexed by row then relay.  Relay 1 takes
+    its smallest candidate nonzero modulo gamma, relay 2 its smallest one
+    independent of relay 1's modulo gamma.  Returns the integer matrices
+    (N, 2, 2) and a mask of rows where a full-rank choice exists."""
+    x1, y1, ok1 = _pick2(D[:, 0], lambda x, y: (x % gamma != 0) | (y % gamma != 0))
+    x2, y2, ok2 = _pick2(D[:, 1], lambda x, y: (x1 * y - y1 * x) % gamma != 0)
+    return np.stack([x1, y1, x2, y2], axis=1).reshape(-1, 2, 2), ok1 & ok2
 
 
 def _sorted_candidates(T, D):
@@ -538,10 +538,9 @@ class _Grid:
         cannot fail here: the unit vectors among the candidates always
         extend the rank."""
         if self.L == 2:
-            # what select_coefficients runs at L = 2, called directly because
-            # perfbench/test_perfbench.py requires no select_coefficients
-            # calls on sweep-l2 and some on sweep-l3; one call serves both
-            # once the benchmark counts distinct A over grid rows instead
+            # what select_coefficients runs at L = 2: perfbench requires no
+            # select_coefficients calls on sweep-l2 and some on sweep-l3,
+            # until it counts distinct A over grid rows instead
             A = _select_A2(_gram(self.H, p), self.gamma)[0]
         else:
             A = select_coefficients(self.H, p, self.gamma, config)

@@ -18,7 +18,6 @@ from ccfrelay.optimizer import (
     gram_matrix,
     pi_d_is_feasible,
     pi_e_is_feasible,
-    select_coefficients,
 )
 from ccfrelay.rates import computation_rate
 
@@ -78,21 +77,38 @@ def relay_transforms(H, p, delta: float):
     return [lll_reduce(np.linalg.cholesky(gram_matrix(H[m], p)), delta)[1] for m in range(len(p))]
 
 
-def scalar_select_coefficients(H, p, gamma: int, config) -> np.ndarray:
+def gauss_reduce(D):
+    """Two-dimensional (Gauss) reduction of the identity basis in the metric
+    D (2, 2): the reduced coordinate rows, shorter first, as a transform."""
+    u, v = np.array([1, 0], dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    a, b, c = float(D[0, 0]), float(D[0, 1]), float(D[1, 1])
+    for _ in range(64):
+        if c < a:
+            u, v, a, c = v, u, c, a
+        r = float(np.rint(b / (a if a > 0 else 1.0)))
+        if not abs(r) < 2.0**63:
+            break
+        if r == 0:
+            return np.stack([u, v])
+        v = v - int(r) * u
+        c += r * r * a - 2.0 * r * b
+        b -= r * a
+    raise RuntimeError("reduction failed to converge")
+
+
+def scalar_select_from_gram(Ds, gamma: int, delta: float) -> np.ndarray:
     """Greedy per-relay selection by metric under a rank check over F_gamma.
 
-    L = 2 uses the library's closed-form two-dimensional selection."""
-    H = np.asarray(H, dtype=float)
-    p = np.asarray(p, dtype=float)
-    L = p.shape[0]
+    ``Ds`` holds each relay's metric (L, L).  The candidates are the rows
+    of the reduction transform (Gauss at L = 2, LLL otherwise) plus the
+    unit vectors, sign-normalized and sorted by metric, then
+    lexicographically; each relay takes the first that extends the rank."""
+    L = len(Ds)
     if L == 1:
         return np.array([[1]], dtype=np.int64)
-    if L == 2:
-        return select_coefficients(H, p, gamma, config)
     chosen = []
-    for m in range(L):
-        D = gram_matrix(H[m], p)
-        _, T = lll_reduce(np.linalg.cholesky(D), config.lllDelta)
+    for m, D in enumerate(Ds):
+        T = gauss_reduce(D) if L == 2 else lll_reduce(np.linalg.cholesky(D), delta)[1]
         cand = np.concatenate([T, np.eye(L, dtype=np.int64)], axis=0)
         lead_idx = np.argmax(cand != 0, axis=1)
         lead = cand[np.arange(cand.shape[0]), lead_idx]
@@ -109,6 +125,14 @@ def scalar_select_coefficients(H, p, gamma: int, config) -> np.ndarray:
             raise NoIndependentRowError(f"no candidate row extends rank at relay {m + 1}")
         chosen.append(picked)
     return np.stack(chosen).astype(np.int64)
+
+
+def scalar_select_coefficients(H, p, gamma: int, config) -> np.ndarray:
+    """Coefficients of one power vector p (L,): the selection of
+    ``scalar_select_from_gram`` over every relay's effective-noise metric."""
+    H = np.asarray(H, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return scalar_select_from_gram([gram_matrix(H[m], p) for m in range(len(p))], gamma, config.lllDelta)
 
 
 class ScalarRows:

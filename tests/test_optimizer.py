@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from ccfrelay.optimizer import (
     _gram,
     _Grid,
     _grid_rows,
+    _lagrange2,
     _lll_batched,
+    _metric2,
     _power_grid,
+    _select_A2,
     evaluate_all,
     evaluate_scheme,
     gram_matrix,
@@ -32,7 +36,7 @@ from ccfrelay.optimizer import (
 )
 from ccfrelay.pipeline import ChannelInstance, mmse_noise_power
 from ccfrelay.rates import second_hop_region
-from scalar_oracle import ScalarRows, relay_transforms
+from scalar_oracle import ScalarRows, relay_transforms, scalar_select_coefficients, scalar_select_from_gram
 
 
 def test_config_validation():
@@ -150,6 +154,74 @@ def test_select_coefficients_always_full_rank():
         p = rng.uniform(0.2, 100.0, size=L)
         A = select_coefficients(H, p, cfg.gammaOpt, cfg)
         assert mat_rank(FieldMatrix(A, cfg.gammaOpt)) == L
+
+
+def gram_stacks_L2():
+    """L = 2 metric stacks (N, 2, 2, 2), indexed by row then relay: the
+    effective-noise metrics of random channels and powers, and small
+    integer metrics, which make exact metric ties (D00 == D11 among them)
+    and reduced bases that equal the unit vectors."""
+    rng = np.random.default_rng(11)
+    H = rng.normal(size=(2, 2))
+    real = _gram(H, 10 ** rng.uniform(-1.0, 4.0, size=(300, 2)))
+    a, b, c = rng.integers(1, 7, size=600), rng.integers(-6, 7, size=600), rng.integers(1, 7, size=600)
+    c[::3] = a[::3]
+    keep = a * c > b * b
+    D = np.stack([np.stack([a, b], axis=1), np.stack([b, c], axis=1)], axis=1)[keep].astype(float)
+    D = D[: len(D) // 2 * 2].reshape(-1, 2, 2, 2)
+    return [real, D]
+
+
+def test_select_A2_matches_scalar_oracle():
+    # the sort-free selection must take the decisions of the scalar Gauss
+    # reduction, candidate sort and rank-greedy loop, for small and large
+    # gamma, exact metric ties and candidates that coincide
+    stacks = gram_stacks_L2()
+    ints = stacks[1].reshape(-1, 2, 2)
+    assert np.sum(ints[:, 0, 0] == ints[:, 1, 1]) > 50
+    u0, u1, _, _ = _lagrange2(ints[:, 0, 0], ints[:, 0, 1], ints[:, 1, 1])
+    assert np.sum((np.abs(u0) + np.abs(u1)) == 1) > 50
+    for D in stacks:
+        for gamma in (2, 3, 5, 257):
+            A, valid = _select_A2(D, gamma)
+            assert np.all(valid)
+            want = np.stack([scalar_select_from_gram(Ds, gamma, 0.75) for Ds in D])
+            assert np.array_equal(A, want)
+
+
+def test_metric2_matches_einsum_bitwise():
+    for D in gram_stacks_L2():
+        D = D.reshape(-1, 2, 2)
+        u0, u1, v0, v1 = _lagrange2(D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
+        ones, zeros = np.ones_like(u0), np.zeros_like(u0)
+        cand = np.stack([np.stack(xy, axis=1) for xy in ((u0, u1), (-v0, -v1), (ones, zeros), (zeros, ones))], axis=1)
+        met = np.stack([_metric2(cand[:, k, 0], cand[:, k, 1], D) for k in range(4)], axis=1)
+        assert np.array_equal(met, np.einsum("nci,nij,ncj->nc", cand, D, cand))
+        assert np.array_equal(met, np.stack([np.einsum("ci,ij,cj->c", c, d, c) for c, d in zip(cand, D)]))
+
+
+def test_select_coefficients_L2_single_row_matches_scalar_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        H = rng.normal(size=(2, 2))
+        p = 10 ** rng.uniform(-1.0, 4.0, size=2)
+        for gamma in (2, 257):
+            cfg = OptimizerConfig(gammaOpt=gamma)
+            A = select_coefficients(H, p, gamma, cfg)
+            assert A.shape == (2, 2)
+            assert np.array_equal(A, scalar_select_coefficients(H, p, gamma, cfg))
+
+
+def test_L2_reduction_failure_is_explicit():
+    # at 200 dB the Gram data has no precision left: the reduction must
+    # raise, not cast NaN or infinite steps into garbage coefficients
+    rng = np.random.default_rng(13)
+    P = 1e20
+    ch = ChannelInstance(rng.normal(size=(2, 2)), rng.normal(size=2), np.full(2, P), np.full(2, 0.25 * P))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="reduction failed to converge"):
+            evaluate_all(ch, OptimizerConfig())
 
 
 def brute_feasible_pairs(Q):
