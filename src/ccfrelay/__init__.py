@@ -8,20 +8,15 @@ from .errors import (
     NoIndependentRowError,
     NotFullRankError,
     NotInCodebookError,
+    ReductionError,
     SingularMatrixError,
     SingularResidualError,
     SpecMismatchError,
     VariantMismatchError,
 )
-from .galois import FieldMatrix, FieldScalar, feasible_pi_d, feasible_pi_e
+from .galois import FieldMatrix, feasible_pi_d, feasible_pi_e
 from .lattice import ChainPoint, ChainSpec, LevelPair, make_chain_spec
-from .optimizer import (
-    SCHEMES,
-    OptimizerConfig,
-    evaluate_all,
-    evaluate_scheme,
-    optimize_sum_rate,
-)
+from .optimizer import SCHEMES, OptimizerConfig, evaluate_all
 from .pipeline import ChannelInstance, SchemeAssignment
 from .rates import RateReport, SecondHopRegion, max_rates_given_structure, second_hop_region
 from .recovery import srm, srmq, srq
@@ -36,7 +31,6 @@ __all__ = [
     "ConfigError",
     "DecodeFailure",
     "FieldMatrix",
-    "FieldScalar",
     "InfeasibleStructureError",
     "LevelPair",
     "NoIndependentRowError",
@@ -44,6 +38,7 @@ __all__ = [
     "NotInCodebookError",
     "OptimizerConfig",
     "RateReport",
+    "ReductionError",
     "SCHEMES",
     "SchemeAssignment",
     "SecondHopRegion",
@@ -52,12 +47,10 @@ __all__ = [
     "SpecMismatchError",
     "VariantMismatchError",
     "evaluate_all",
-    "evaluate_scheme",
     "feasible_pi_d",
     "feasible_pi_e",
     "make_chain_spec",
     "max_rates_given_structure",
-    "optimize_sum_rate",
     "second_hop_region",
     "srm",
     "srmq",

@@ -15,22 +15,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DecodeFailure
+from .errors import ConfigError, DecodeFailure, ReductionError
 from .optimizer import SCHEMES, OptimizerConfig, evaluate_all
-from .pipeline import (
-    ChannelInstance,
-    SchemeAssignment,
-    compress,
-    noisy_compute_demo,
-    relay_combination,
-    source_encode,
-)
+from .pipeline import ChannelInstance, compress, noisy_compute_demo, relay_combination, source_encode
 from .verify import SCOPES, random_assignment, run_verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 CSV_HEADER = "scheme,snr_db,mean_sum_rate,stderr,trials,seed"
 
@@ -52,6 +46,10 @@ class RunConfig:
     outputPath: str = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.snrStart, self.snrStop, self.snrStep, self.relayPowerRatio])):
+            raise ConfigError("snrStart, snrStop, snrStep and relayPowerRatio must be finite")
+        if self.snrStop < self.snrStart:
+            raise ConfigError("snrStop must be >= snrStart")
         if self.snrStep <= 0:
             raise ConfigError("snrStep must be positive")
         if self.trials < 1:
@@ -119,10 +117,12 @@ def config_from_mapping(mapping: dict, base: RunConfig = None) -> RunConfig:
     cfg = base if base is not None else RunConfig()
     updates = {}
     for key, value in mapping.items():
-        if key in _INT_KEYS:
-            updates[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            updates[key] = float(value)
+        if key in _INT_KEYS or key in _FLOAT_KEYS:
+            parse = int if key in _INT_KEYS else float
+            try:
+                updates[key] = parse(value)
+            except ValueError:
+                raise ConfigError(f"config key {key!r} must be {parse.__name__}, got {value!r}") from None
         elif key == "schemes":
             updates[key] = tuple(s.strip() for s in str(value).split(",") if s.strip())
         elif key == "outputPath":
@@ -159,7 +159,10 @@ def run_sweep(config: RunConfig) -> SweepResult:
         for t in range(config.trials):
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, i, t)))
             channel = draw_channel(rng, config.L, float(snr), config.relayPowerRatio)
-            results = evaluate_all(channel, opt_cfg, config.schemes)
+            try:
+                results = evaluate_all(channel, opt_cfg, config.schemes)
+            except ReductionError as exc:
+                raise ReductionError(f"{exc} at SNR {float(snr)!r} dB, trial {t}, seed {config.seed}") from None
             for s in config.schemes:
                 sums[s][i, t] = results[s][1].sumRate
     mean = {s: tuple(float(v) for v in sums[s].mean(axis=1)) for s in config.schemes}
@@ -183,18 +186,6 @@ def emit_csv(result: SweepResult, stream) -> None:
     stream.write(CSV_HEADER + "\n")
     for scheme, snr, mean, err, trials, seed in result.rows():
         stream.write(f"{scheme},{snr!r},{mean!r},{err!r},{trials},{seed}\n")
-
-
-def parse_csv(text: str):
-    """Inverse of emit_csv: list of (scheme, snr, mean, stderr, trials, seed)."""
-    lines = text.strip().split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        scheme, snr, mean, err, trials, seed = line.split(",")
-        rows.append((scheme, float(snr), float(mean), float(err), int(trials), int(seed)))
-    return rows
 
 
 def _channel_from_config(mapping: dict) -> ChannelInstance:
@@ -283,18 +274,6 @@ def _cmd_demo_noisy(args) -> int:
     trials = args.trials if args.trials is not None else 200
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     asg = random_assignment(rng, gamma=3, n=2, L=2)
-    asg = SchemeAssignment(
-        spec=asg.spec,
-        pi_c=asg.pi_c,
-        pi_s=asg.pi_s,
-        pi_d=asg.pi_d,
-        pi_e=asg.pi_e,
-        A=asg.A,
-        codingLevels=asg.codingLevels,
-        shapingLevels=asg.shapingLevels,
-        powers=(1.0,) * 2,
-        budgets=(1.0,) * 2,
-    )
     # integer channel equal to the combination coefficients, so decoding
     # error comes from thermal noise alone
     H = asg.A.astype(float)
@@ -374,6 +353,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ReductionError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

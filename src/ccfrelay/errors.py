@@ -58,5 +58,10 @@ class NoIndependentRowError(CCFError):
     """Coefficient selection could not extend to a full-rank matrix."""
 
 
+class ReductionError(CCFError):
+    """A lattice reduction did not converge, or its steps left the int64
+    range: the floating-point metric has lost its precision."""
+
+
 class ConfigError(CCFError):
     """A run configuration is invalid."""

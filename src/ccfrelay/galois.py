@@ -29,18 +29,6 @@ def _check_prime(gamma: int) -> None:
 
 
 @dataclass(frozen=True)
-class FieldScalar:
-    """A single element of F_gamma."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_prime(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-
-@dataclass(frozen=True)
 class FieldMatrix:
     """A matrix over F_gamma with canonical int64 entries."""
 
@@ -85,22 +73,6 @@ class IndexSets:
             raise ValueError("source and relay sets must have equal cardinality")
         object.__setattr__(self, "sourceSet", src)
         object.__setattr__(self, "relaySet", rel)
-
-
-def kappa(x):
-    """Canonical integer representative(s) of a field scalar or matrix."""
-    if isinstance(x, FieldScalar):
-        return x.value
-    if isinstance(x, FieldMatrix):
-        return x.entries.copy()
-    raise TypeError(f"kappa expects FieldScalar or FieldMatrix, got {type(x).__name__}")
-
-
-def kappa_inv(x, gamma: int):
-    """Inverse of kappa: lift integer(s) back to F_gamma."""
-    if np.isscalar(x) or isinstance(x, (int, np.integer)):
-        return FieldScalar(int(x), gamma)
-    return FieldMatrix(np.asarray(x, dtype=np.int64), gamma)
 
 
 def _eliminate(ent: np.ndarray, gamma: int):

@@ -90,10 +90,6 @@ class ChainPoint:
         d.setflags(write=False)
         z.setflags(write=False)
 
-    @property
-    def batch_shape(self) -> tuple:
-        return self.digits.shape[:-1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainPoint):
             return NotImplemented
@@ -105,15 +101,6 @@ class ChainPoint:
 
     def __getitem__(self, idx) -> "ChainPoint":
         return ChainPoint(self.spec, self.digits[idx], self.ints[idx])
-
-
-def zero_point(spec: ChainSpec, batch_shape: tuple = ()) -> ChainPoint:
-    shape = tuple(batch_shape)
-    return ChainPoint(
-        spec,
-        np.zeros(shape + (spec.kMax,), dtype=np.int64),
-        np.zeros(shape + (spec.n,), dtype=np.int64),
-    )
 
 
 def _require_same_spec(a: ChainPoint, b: ChainPoint) -> None:
@@ -144,10 +131,6 @@ def point_add(a: ChainPoint, b: ChainPoint) -> ChainPoint:
 def point_scale(a: ChainPoint, c: int) -> ChainPoint:
     """Exact integer scaling; negative multipliers supported."""
     return combine((a,), (c,))
-
-
-def point_neg(a: ChainPoint) -> ChainPoint:
-    return point_scale(a, -1)
 
 
 def point_sub(a: ChainPoint, b: ChainPoint) -> ChainPoint:

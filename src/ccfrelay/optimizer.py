@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoIndependentRowError, NotFullRankError
+from .errors import ConfigError, NoIndependentRowError, NotFullRankError, ReductionError
 from .galois import (
     FieldMatrix,
     _check_prime,
@@ -75,23 +75,23 @@ def _block_rows(per_row: int) -> int:
     return max(1, _BLOCK_ELEMS // per_row)
 
 
+# Lovasz parameter of every LLL reduction
+_LLL_DELTA = 0.75
+# per-source meshes shrink their axis length until they hold at most this many rows
+_MAX_GRID_ROWS = 200_000
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the outer search."""
+    """Knobs of the outer search: power grid points per source and the
+    prime field of coefficient selection."""
 
     nBrute: int = 100
-    lllDelta: float = 0.75
-    schemeVariant: str = "acf-mq"
     gammaOpt: int = 257
-    maxGridRows: int = 200_000
 
     def __post_init__(self):
         if self.nBrute < 1:
             raise ConfigError("nBrute must be >= 1")
-        if not 0.25 < self.lllDelta < 1.0:
-            raise ConfigError("lllDelta must lie in (0.25, 1)")
-        if self.schemeVariant not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.schemeVariant!r}")
         try:
             _check_prime(self.gammaOpt)
         except ValueError as exc:
@@ -108,14 +108,6 @@ def _gram(H, p_rows) -> np.ndarray:
     denom = 1.0 + np.vecdot(H[None], ph)
     diag = p_rows[:, None, :, None] * np.eye(H.shape[1])
     return diag - ph[..., :, None] * ph[..., None, :] / denom[..., None, None]
-
-
-def gram_matrix(h_m, p) -> np.ndarray:
-    """Metric whose quadratic form in the coefficient row is the
-    effective-noise power at the optimal scaling coefficient."""
-    h = np.asarray(h_m, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return _gram(h[None], p[None])[0, 0]
 
 
 def _gso(B: np.ndarray):
@@ -208,12 +200,12 @@ def _lll_batched(B, delta: float):
             j[test] = k[test] - 1
             rounds[test] += 1
             if np.any((rounds[test] >= _LLL_GUARD) & (k[test] < n)):
-                raise RuntimeError("reduction failed to converge")
+                raise ReductionError("LLL reduction failed to converge")
         active = np.flatnonzero(k < n)
     return B, T
 
 
-def lll_reduce(basis, delta: float = 0.75):
+def lll_reduce(basis, delta: float = _LLL_DELTA):
     """Lovasz-reduce the rows of ``basis``.
 
     Returns (reduced, transform) with reduced = transform @ basis and an
@@ -246,7 +238,7 @@ def _lagrange2(a, b, c):
         c = np.where(step, c + (r * r * a - 2.0 * r * b), c)
         b = np.where(step, b - r * a, b)
     if np.any(step):
-        raise RuntimeError("reduction failed to converge")
+        raise ReductionError("two-dimensional reduction failed to converge")
     return u0, u1, v0, v1
 
 
@@ -300,7 +292,7 @@ def _sorted_candidates(T, D):
     return np.take_along_axis(cand, order[..., None], axis=1)
 
 
-def _select_A(D: np.ndarray, gamma: int, delta: float):
+def _select_A(D: np.ndarray, gamma: int):
     """Batched coefficient selection for any L.
 
     ``D`` has shape (N, L, L, L), indexed by row then relay.  Each relay's
@@ -310,7 +302,7 @@ def _select_A(D: np.ndarray, gamma: int, delta: float):
     rows where a full-rank choice exists."""
     N, L = D.shape[:2]
     flat = D.reshape(N * L, L, L)
-    _, T = _lll_batched(np.linalg.cholesky(flat), delta)
+    _, T = _lll_batched(np.linalg.cholesky(flat), _LLL_DELTA)
     cand = _sorted_candidates(T, flat).reshape(N, L, 2 * L, L)
     rows = np.arange(N)
     A = np.empty((N, L, L), dtype=np.int64)
@@ -338,7 +330,7 @@ def _select_A(D: np.ndarray, gamma: int, delta: float):
     return A, valid
 
 
-def select_coefficients(H, p, gamma: int, config: OptimizerConfig) -> np.ndarray:
+def select_coefficients(H, p, gamma: int) -> np.ndarray:
     """Integer combination coefficients, one row per relay, for a power
     vector p (L,), or for every row of a power grid p (N, L) at once.
 
@@ -351,7 +343,7 @@ def select_coefficients(H, p, gamma: int, config: OptimizerConfig) -> np.ndarray
     if D.shape[1] == 2:
         A, valid = _select_A2(D, gamma)
     else:
-        A, valid = _select_A(D, gamma, config.lllDelta)
+        A, valid = _select_A(D, gamma)
     if not np.all(valid):
         raise NoIndependentRowError("no full-rank coefficient choice modulo gamma")
     return A if p.ndim == 2 else A[0]
@@ -499,7 +491,7 @@ class _Grid:
     distinct (A, pi_c) or (A, pi_s), from the nonsingular square submatrices
     of A, and shared by the rows that have it."""
 
-    def __init__(self, H, caps, p_rows, gamma, config):
+    def __init__(self, H, caps, p_rows, gamma):
         self.H = np.asarray(H, dtype=float)
         self.caps = np.asarray(caps, dtype=float)
         self.p = np.asarray(p_rows, dtype=float)
@@ -508,7 +500,7 @@ class _Grid:
         self.block = _block_rows(math.factorial(self.L) * self.L * self.L)
         step = _block_rows(2 * self.L**3)
         starts = range(0, len(self.p), step)
-        blocks = [self._select(self.p[s : s + step], config) for s in starts]
+        blocks = [self._select(self.p[s : s + step]) for s in starts]
         self.A, self.r_comp = (np.concatenate(part) for part in zip(*blocks))
         self.mask = self.A != 0
         self.pi_s = _rank_perms(self.p)
@@ -533,7 +525,7 @@ class _Grid:
         feasibility kinds."""
         return _group_rows(self.A.reshape(len(self.A), -1))[1]
 
-    def _select(self, p, config):
+    def _select(self, p):
         """Coefficients and computation rates of a block of rows.  Selection
         cannot fail here: the unit vectors among the candidates always
         extend the rank."""
@@ -543,7 +535,7 @@ class _Grid:
             # until it counts distinct A over grid rows instead
             A = _select_A2(_gram(self.H, p), self.gamma)[0]
         else:
-            A = select_coefficients(self.H, p, self.gamma, config)
+            A = select_coefficients(self.H, p, self.gamma)
         # mmse_noise_power for every (row, relay), in its operation order
         a = A.astype(float)
         pa = p[:, None, :] * a
@@ -676,7 +668,7 @@ def _grid_rows(budgets, common: bool, config: OptimizerConfig) -> np.ndarray:
         grid = _power_grid(float(np.min(budgets)), config.nBrute)
         return np.tile(grid[:, None], (1, L))
     n = config.nBrute
-    while n > 1 and n**L > config.maxGridRows:
+    while n > 1 and n**L > _MAX_GRID_ROWS:
         n -= 1
     axes = [_power_grid(float(b), n) for b in budgets]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -700,7 +692,7 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
         common = _COMMON_POWER[scheme]
         if common not in contexts:
             rows = _grid_rows(channel.P, common, config)
-            contexts[common] = _Grid(channel.H, caps, rows, config.gammaOpt, config)
+            contexts[common] = _Grid(channel.H, caps, rows, config.gammaOpt)
         ctx = contexts[common]
         variant = _SCHEME_VARIANT[scheme]
         picked = ctx.evaluate(variant)
@@ -713,14 +705,3 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
         report = max_rates_given_structure(asg, channel.H, region, variant)
         results[scheme] = (asg, report)
     return results
-
-
-def evaluate_scheme(variant: str, channel: ChannelInstance, config: OptimizerConfig) -> RateReport:
-    """Best rate report of one scheme on one channel draw."""
-    return evaluate_all(channel, config, (variant,))[variant][1]
-
-
-def optimize_sum_rate(channel: ChannelInstance, config: OptimizerConfig):
-    """Best assignment and rates for the configured scheme."""
-    asg, report = evaluate_all(channel, config, (config.schemeVariant,))[config.schemeVariant]
-    return asg, report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodeFailure, SpecMismatchError
-from .galois import FieldMatrix, is_permutation, mat_rank
+from .galois import FieldMatrix, is_permutation
 from .lattice import ChainPoint, ChainSpec, LevelPair, combine, encode_message, mod_level, quantize_level, real_embed
 from .lattice import point_add, point_scale  # noqa: F401  (perfbench/spans.py wraps these pipeline bindings)
 
@@ -79,9 +79,6 @@ class SchemeAssignment:
     def field_image(self) -> FieldMatrix:
         """The coefficient matrix reduced into F_gamma."""
         return FieldMatrix(self.A, self.spec.gamma)
-
-    def field_image_full_rank(self) -> bool:
-        return mat_rank(self.field_image) == self.L
 
     def coding_level(self, l: int) -> int:
         return self.codingLevels[self.pi_c[l - 1] - 1]

@@ -48,10 +48,6 @@ class SecondHopRegion:
             raise ValueError("capacities must be nonnegative")
         object.__setattr__(self, "perRelayCapacity", caps)
 
-    @property
-    def L(self) -> int:
-        return len(self.perRelayCapacity)
-
 
 def second_hop_region(g, P_R) -> SecondHopRegion:
     g = np.asarray(g, dtype=float)
@@ -117,12 +113,6 @@ def forwarding_rates(asg: SchemeAssignment, r, variant: str) -> np.ndarray:
             continue
         R[m] = max(0.0, np.max(r[links] + half_log_pe[m] - 0.5 * np.log2(p[links])))
     return R
-
-
-def region_check(R, region: SecondHopRegion) -> bool:
-    """True iff the forwarding rates fit inside the closed hypercube."""
-    caps = np.asarray(region.perRelayCapacity, dtype=float)
-    return bool(np.all(np.asarray(R, dtype=float) <= caps))
 
 
 def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion, variant: str) -> RateReport:

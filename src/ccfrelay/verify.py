@@ -9,11 +9,23 @@ checks) rather than trusting the functions under test.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import optimizer, pipeline, rates, recovery
 from .galois import FieldMatrix, feasible_pi_d, feasible_pi_e, mat_inverse, mat_rank, residual_submatrix, srm_index_sets, srq_index_sets
-from .lattice import decode_codeword, encode_message, make_chain_spec, mod_level, point_add, point_sub, quantize_level
+from .lattice import (
+    ChainPoint,
+    LevelPair,
+    decode_codeword,
+    encode_message,
+    make_chain_spec,
+    mod_level,
+    point_add,
+    point_sub,
+    quantize_level,
+)
 from .pipeline import SchemeAssignment
 
 SCOPES = ("galois", "lattice", "recovery", "rates", "optimizer", "all")
@@ -143,8 +155,6 @@ def _lattice_properties(rng):
         spec = make_chain_spec(gamma, n, n, rng=rng)
         kC = int(rng.integers(1, n + 1))
         kS = int(rng.integers(0, kC))
-        from .lattice import LevelPair
-
         lp = LevelPair(kC, kS)
         w = rng.integers(0, gamma, size=(8, kC - kS))
         t = encode_message(w, lp, spec)
@@ -158,7 +168,6 @@ def _lattice_properties(rng):
         gamma = int(rng.choice(_EXACT_PRIMES))
         n = int(rng.integers(2, 5))
         spec = make_chain_spec(gamma, n, n, rng=rng)
-        from .lattice import ChainPoint
 
         def rand_point():
             return ChainPoint(
@@ -222,18 +231,7 @@ def _rates_properties(rng):
     for _ in range(200):
         L = int(rng.integers(2, 5))
         asg = random_assignment(np.random.default_rng(rng.integers(2**32)), 257, 2 * L, L)
-        asg = SchemeAssignment(
-            spec=asg.spec,
-            pi_c=asg.pi_c,
-            pi_s=asg.pi_s,
-            pi_d=asg.pi_d,
-            pi_e=asg.pi_e,
-            A=asg.A,
-            codingLevels=asg.codingLevels,
-            shapingLevels=asg.shapingLevels,
-            powers=tuple(rng.uniform(0.5, 10.0, size=L)),
-            budgets=(10.0,) * L,
-        )
+        asg = replace(asg, powers=tuple(rng.uniform(0.5, 10.0, size=L)), budgets=(10.0,) * L)
         r = rng.uniform(0.0, 3.0, size=L)
         R = rates.forwarding_rates(asg, r, "srq")
         if abs(float(np.sum(R)) - float(np.sum(r))) > 1e-12:
@@ -291,7 +289,7 @@ def _optimizer_properties(rng):
         L = int(rng.integers(1, 5))
         H = rng.normal(size=(L, L))
         p = rng.uniform(0.5, 50.0, size=L)
-        A = optimizer.select_coefficients(H, p, cfg.gammaOpt, cfg)
+        A = optimizer.select_coefficients(H, p, cfg.gammaOpt)
         if mat_rank(FieldMatrix(A, cfg.gammaOpt)) != L:
             bad = f"H={_fmt(H)} p={_fmt(p)} A={_fmt(A)}"
             break

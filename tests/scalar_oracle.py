@@ -12,14 +12,14 @@ import numpy as np
 
 from ccfrelay.errors import ConfigError, NoIndependentRowError, NotFullRankError
 from ccfrelay.galois import FieldMatrix, mat_rank, perm_inverse
-from ccfrelay.optimizer import (
-    _coding_key,
-    _rank_perms,
-    gram_matrix,
-    pi_d_is_feasible,
-    pi_e_is_feasible,
-)
+from ccfrelay.optimizer import _coding_key, _gram, _rank_perms, pi_d_is_feasible, pi_e_is_feasible
 from ccfrelay.rates import computation_rate
+
+
+def gram_matrix(h_m, p) -> np.ndarray:
+    """Metric of one relay whose quadratic form in a coefficient row is the
+    effective-noise power at the optimal scaling coefficient."""
+    return _gram(np.asarray(h_m, dtype=float)[None], np.asarray(p, dtype=float)[None])[0, 0]
 
 
 def gso(B: np.ndarray):
@@ -72,9 +72,9 @@ def rank_perm(key) -> tuple:
     return tuple(int(x) for x in _rank_perms(np.asarray(key)[None])[0])
 
 
-def relay_transforms(H, p, delta: float):
+def relay_transforms(H, p):
     """The reduction transform of every relay's metric at powers ``p``."""
-    return [lll_reduce(np.linalg.cholesky(gram_matrix(H[m], p)), delta)[1] for m in range(len(p))]
+    return [lll_reduce(np.linalg.cholesky(gram_matrix(H[m], p)))[1] for m in range(len(p))]
 
 
 def gauss_reduce(D):
@@ -96,7 +96,7 @@ def gauss_reduce(D):
     raise RuntimeError("reduction failed to converge")
 
 
-def scalar_select_from_gram(Ds, gamma: int, delta: float) -> np.ndarray:
+def scalar_select_from_gram(Ds, gamma: int) -> np.ndarray:
     """Greedy per-relay selection by metric under a rank check over F_gamma.
 
     ``Ds`` holds each relay's metric (L, L).  The candidates are the rows
@@ -108,7 +108,7 @@ def scalar_select_from_gram(Ds, gamma: int, delta: float) -> np.ndarray:
         return np.array([[1]], dtype=np.int64)
     chosen = []
     for m, D in enumerate(Ds):
-        T = gauss_reduce(D) if L == 2 else lll_reduce(np.linalg.cholesky(D), delta)[1]
+        T = gauss_reduce(D) if L == 2 else lll_reduce(np.linalg.cholesky(D))[1]
         cand = np.concatenate([T, np.eye(L, dtype=np.int64)], axis=0)
         lead_idx = np.argmax(cand != 0, axis=1)
         lead = cand[np.arange(cand.shape[0]), lead_idx]
@@ -127,31 +127,30 @@ def scalar_select_from_gram(Ds, gamma: int, delta: float) -> np.ndarray:
     return np.stack(chosen).astype(np.int64)
 
 
-def scalar_select_coefficients(H, p, gamma: int, config) -> np.ndarray:
+def scalar_select_coefficients(H, p, gamma: int) -> np.ndarray:
     """Coefficients of one power vector p (L,): the selection of
     ``scalar_select_from_gram`` over every relay's effective-noise metric."""
     H = np.asarray(H, dtype=float)
     p = np.asarray(p, dtype=float)
-    return scalar_select_from_gram([gram_matrix(H[m], p) for m in range(len(p))], gamma, config.lllDelta)
+    return scalar_select_from_gram([gram_matrix(H[m], p) for m in range(len(p))], gamma)
 
 
 class ScalarRows:
     """Scalar per-row evaluation for general L, with cached permutation
     feasibility keyed by the coefficient matrix."""
 
-    def __init__(self, H, caps, p_rows, gamma, config):
+    def __init__(self, H, caps, p_rows, gamma):
         self.H = np.asarray(H, dtype=float)
         self.caps = np.asarray(caps, dtype=float)
         self.p_rows = np.asarray(p_rows, dtype=float)
         self.gamma = gamma
-        self.config = config
         self.L = self.H.shape[0]
         self._pi_d_cache = {}
         self._pi_e_cache = {}
         self.rows = []
         for p in self.p_rows:
             try:
-                A = scalar_select_coefficients(self.H, p, gamma, config)
+                A = scalar_select_coefficients(self.H, p, gamma)
             except NoIndependentRowError:
                 self.rows.append(None)
                 continue

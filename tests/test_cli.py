@@ -10,6 +10,7 @@ from ccfrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY,
     RunConfig,
@@ -19,7 +20,6 @@ from ccfrelay.cli import (
     emit_csv,
     main,
     parse_config_file,
-    parse_csv,
     run_sweep,
 )
 from ccfrelay.errors import ConfigError, DecodeFailure
@@ -51,6 +51,15 @@ def test_run_config_validation():
         RunConfig(schemes=("bogus",))
     with pytest.raises(ConfigError):
         RunConfig(relayPowerRatio=-0.1)
+    for field in ("snrStart", "snrStop", "snrStep", "relayPowerRatio"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig(**{field: value})
+    with pytest.raises(ConfigError, match="snrStop"):
+        RunConfig(snrStart=10.0, snrStop=0.0)
+    for key, value in (("trials", "x"), ("L", "2.5"), ("snrStep", "two")):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: value})
 
 
 def test_snr_points_inclusive():
@@ -109,10 +118,12 @@ def test_csv_round_trip():
     result = run_sweep(cfg)
     buf = io.StringIO()
     emit_csv(result, buf)
-    rows = parse_csv(buf.getvalue())
-    assert len(rows) == len(result.snrDb)
-    for row, (scheme, snr, mean, err, trials, seed) in zip(result.rows(), rows):
-        assert row == (scheme, snr, mean, err, trials, seed)
+    header, *lines = buf.getvalue().strip().split("\n")
+    assert header == CSV_HEADER
+    assert len(lines) == len(result.snrDb)
+    for row, line in zip(result.rows(), lines):
+        scheme, snr, mean, err, trials, seed = line.split(",")
+        assert row == (scheme, float(snr), float(mean), float(err), int(trials), int(seed))
     for line in buf.getvalue().strip().split("\n"):
         assert line.count(",") == 5
 
@@ -164,9 +175,28 @@ def test_main_sweep_writes_csv(tmp_path):
     assert len(text.strip().split("\n")) == 3
 
 
-def test_main_exit_code_config_error():
+def test_main_exit_code_config_error(tmp_path, capsys):
     assert main(["sweep", "--snr", "nonsense"]) == EXIT_CONFIG
     assert main(["sweep", "--schemes", "bogus", "--trials", "1", "--L", "1"]) == EXIT_CONFIG
+    for snr in ("10:0:2", "nan:1:1", "0:inf:1"):
+        assert main(["sweep", "--snr", snr, "--trials", "1", "--L", "1"]) == EXIT_CONFIG
+    for line in ("trials = x", "relayPowerRatio = nan"):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(path), "--L", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error: ") == 7
+
+
+def test_main_exit_code_numeric_error(capsys):
+    # at 150 dB the L = 2 reduction loses its precision on some draw: the
+    # sweep stops with a named error that says where, not a traceback
+    code = main(["sweep", "--L", "2", "--seed", "1", "--snr", "150:150:1", "--trials", "10"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "reduction failed to converge" in err
+    assert "SNR 150.0 dB" in err and "trial " in err and "seed 1" in err
 
 
 def test_main_exit_code_io_error(tmp_path):

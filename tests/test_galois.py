@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from ccfrelay.errors import IndexOutOfRangeError, SingularMatrixError
 from ccfrelay.galois import (
     FieldMatrix,
-    FieldScalar,
     feasible_pi_d,
     feasible_pi_e,
     is_permutation,
-    kappa,
-    kappa_inv,
     mat_inverse,
     mat_rank,
     perm_inverse,
@@ -54,23 +51,9 @@ def random_matrix(rng, rows, cols, gamma):
     return FieldMatrix(rng.integers(-gamma, gamma + 1, size=(rows, cols)), gamma)
 
 
-def test_scalar_canonical_range():
-    s = FieldScalar(-1, 5)
-    assert s.value == 4
-    assert FieldScalar(9, 5) == FieldScalar(4, 5)
-
-
 def test_matrix_rejects_nonprime_modulus():
     with pytest.raises(ValueError):
         FieldMatrix(np.eye(2, dtype=np.int64), 6)
-
-
-def test_kappa_roundtrip_exhaustive():
-    for gamma in (2, 5):
-        for v in range(gamma):
-            assert kappa_inv(kappa(FieldScalar(v, gamma)), gamma) == FieldScalar(v, gamma)
-        M = FieldMatrix(np.arange(4).reshape(2, 2), gamma)
-        assert kappa_inv(kappa(M), gamma) == M
 
 
 def test_rank_matches_brute_force():
@@ -186,9 +169,9 @@ def test_greedy_pi_d_is_in_brute_force_feasible_set():
 )
 @settings(max_examples=100, deadline=None)
 def test_scalar_canonicalization(value, gamma):
-    s = FieldScalar(value, gamma)
-    assert 0 <= s.value < gamma
-    assert (s.value - value) % gamma == 0
+    s = int(FieldMatrix([[value]], gamma).entries[0, 0])
+    assert 0 <= s < gamma
+    assert (s - value) % gamma == 0
 
 
 @given(st.integers(min_value=2, max_value=60))
@@ -196,7 +179,7 @@ def test_scalar_canonicalization(value, gamma):
 def test_modulus_primality_enforced(gamma):
     is_prime = gamma >= 2 and all(gamma % d for d in range(2, int(gamma**0.5) + 1))
     if is_prime:
-        FieldScalar(0, gamma)
+        FieldMatrix([[0]], gamma)
     else:
         with pytest.raises(ValueError):
-            FieldScalar(0, gamma)
+            FieldMatrix([[0]], gamma)

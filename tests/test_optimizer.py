@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ccfrelay import optimizer
-from ccfrelay.errors import ConfigError, NotFullRankError
+from ccfrelay.errors import ConfigError, NotFullRankError, ReductionError
 from ccfrelay.galois import FieldMatrix, mat_rank, residual_submatrix, srm_index_sets, srq_index_sets
 from ccfrelay.optimizer import (
     _COMMON_POWER,
+    _LLL_DELTA,
     _SCHEME_VARIANT,
     OptimizerConfig,
     _feasible_perms,
@@ -23,12 +24,9 @@ from ccfrelay.optimizer import (
     _power_grid,
     _select_A2,
     evaluate_all,
-    evaluate_scheme,
-    gram_matrix,
     is_size_reduced,
     is_unimodular,
     lll_reduce,
-    optimize_sum_rate,
     pi_d_is_feasible,
     pi_e_is_feasible,
     satisfies_lovasz,
@@ -36,16 +34,18 @@ from ccfrelay.optimizer import (
 )
 from ccfrelay.pipeline import ChannelInstance, mmse_noise_power
 from ccfrelay.rates import second_hop_region
-from scalar_oracle import ScalarRows, relay_transforms, scalar_select_coefficients, scalar_select_from_gram
+from scalar_oracle import (
+    ScalarRows,
+    gram_matrix,
+    relay_transforms,
+    scalar_select_coefficients,
+    scalar_select_from_gram,
+)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(nBrute=0)
-    with pytest.raises(ConfigError):
-        OptimizerConfig(lllDelta=1.0)
-    with pytest.raises(ConfigError):
-        OptimizerConfig(schemeVariant="nope")
     with pytest.raises(ConfigError):
         OptimizerConfig(gammaOpt=4)
 
@@ -116,18 +116,16 @@ def brute_best_row(D, gamma, max_coeff, exclude=None):
 
 
 def test_select_coefficients_L1():
-    cfg = OptimizerConfig()
-    A = select_coefficients(np.array([[1.3]]), np.array([2.0]), 257, cfg)
+    A = select_coefficients(np.array([[1.3]]), np.array([2.0]), 257)
     assert A.shape == (1, 1) and abs(A[0, 0]) == 1
 
 
 def test_select_coefficients_matches_brute_force_L2():
-    cfg = OptimizerConfig()
     rng = np.random.default_rng(2)
     for _ in range(60):
         H = rng.normal(size=(2, 2))
         p = rng.uniform(0.5, 50.0, size=2)
-        A = select_coefficients(H, p, 257, cfg)
+        A = select_coefficients(H, p, 257)
         assert mat_rank(FieldMatrix(A, 257)) == 2
         for m in range(2):
             D = gram_matrix(H[m], p)
@@ -138,10 +136,9 @@ def test_select_coefficients_matches_brute_force_L2():
 
 
 def test_select_coefficients_diagonal_channel():
-    cfg = OptimizerConfig()
     H = np.diag([5.0, -5.0, 5.0])
     p = np.ones(3)
-    A = select_coefficients(H, p, 257, cfg)
+    A = select_coefficients(H, p, 257)
     assert np.array_equal(np.abs(A), np.eye(3, dtype=np.int64))
 
 
@@ -152,7 +149,7 @@ def test_select_coefficients_always_full_rank():
         L = int(rng.integers(1, 5))
         H = rng.normal(size=(L, L))
         p = rng.uniform(0.2, 100.0, size=L)
-        A = select_coefficients(H, p, cfg.gammaOpt, cfg)
+        A = select_coefficients(H, p, cfg.gammaOpt)
         assert mat_rank(FieldMatrix(A, cfg.gammaOpt)) == L
 
 
@@ -185,7 +182,7 @@ def test_select_A2_matches_scalar_oracle():
         for gamma in (2, 3, 5, 257):
             A, valid = _select_A2(D, gamma)
             assert np.all(valid)
-            want = np.stack([scalar_select_from_gram(Ds, gamma, 0.75) for Ds in D])
+            want = np.stack([scalar_select_from_gram(Ds, gamma) for Ds in D])
             assert np.array_equal(A, want)
 
 
@@ -206,10 +203,9 @@ def test_select_coefficients_L2_single_row_matches_scalar_oracle():
         H = rng.normal(size=(2, 2))
         p = 10 ** rng.uniform(-1.0, 4.0, size=2)
         for gamma in (2, 257):
-            cfg = OptimizerConfig(gammaOpt=gamma)
-            A = select_coefficients(H, p, gamma, cfg)
+            A = select_coefficients(H, p, gamma)
             assert A.shape == (2, 2)
-            assert np.array_equal(A, scalar_select_coefficients(H, p, gamma, cfg))
+            assert np.array_equal(A, scalar_select_coefficients(H, p, gamma))
 
 
 def test_L2_reduction_failure_is_explicit():
@@ -220,7 +216,7 @@ def test_L2_reduction_failure_is_explicit():
     ch = ChannelInstance(rng.normal(size=(2, 2)), rng.normal(size=2), np.full(2, P), np.full(2, 0.25 * P))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RuntimeError, match="reduction failed to converge"):
+        with pytest.raises(ReductionError, match="reduction failed to converge"):
             evaluate_all(ch, OptimizerConfig())
 
 
@@ -311,8 +307,9 @@ def test_power_grid_shape():
     assert _power_grid(8.0, 1).tolist() == [8.0]
 
 
-def test_grid_rows_cap():
-    cfg = OptimizerConfig(nBrute=100, maxGridRows=1000)
+def test_grid_rows_cap(monkeypatch):
+    monkeypatch.setattr(optimizer, "_MAX_GRID_ROWS", 1000)
+    cfg = OptimizerConfig(nBrute=100)
     rows = _grid_rows(np.full(3, 8.0), False, cfg)
     assert rows.shape[0] <= 1000
     assert rows.shape[1] == 3
@@ -336,12 +333,12 @@ def test_batched_matches_scalar_oracle(L, nBrute, draws):
         caps = 0.5 * np.log2(1.0 + g * g * 0.25 * P)
         for common in (True, False):
             rows = _grid_rows(np.full(L, P), common, cfg)
-            fast = _Grid(H, caps, rows, cfg.gammaOpt, cfg)
-            slow = ScalarRows(H, caps, rows, cfg.gammaOpt, cfg)
+            fast = _Grid(H, caps, rows, cfg.gammaOpt)
+            slow = ScalarRows(H, caps, rows, cfg.gammaOpt)
             assert np.array_equal(fast.A, np.stack([row["A"] for row in slow.rows]))
             if L > 2:
-                _, T = _lll_batched(np.linalg.cholesky(_gram(H, rows).reshape(-1, L, L)), cfg.lllDelta)
-                want = np.concatenate([relay_transforms(H, p, cfg.lllDelta) for p in rows])
+                _, T = _lll_batched(np.linalg.cholesky(_gram(H, rows).reshape(-1, L, L)), _LLL_DELTA)
+                want = np.concatenate([relay_transforms(H, p) for p in rows])
                 assert np.array_equal(T, want)
             for variant in ("symmetric", "srq", "srm", "srmq"):
                 f = fast.evaluate(variant)
@@ -366,8 +363,7 @@ def test_grid_blocks_bound_memory_and_keep_winners(monkeypatch):
     H = rng.normal(size=(L, L))
     caps = rng.uniform(2.0, 6.0, size=L)
     p = rng.uniform(1.0, 100.0, size=(120, L))
-    cfg = OptimizerConfig()
-    ctx = _Grid(H, caps, p, cfg.gammaOpt, cfg)
+    ctx = _Grid(H, caps, p, 257)
     assert ctx.block < len(p)
     tracemalloc.start()
     try:
@@ -380,7 +376,7 @@ def test_grid_blocks_bound_memory_and_keep_winners(monkeypatch):
     # two-row blocks and feasibility chunks of a few groups, then one block
     for budget in (1 << 16, 1 << 40):
         monkeypatch.setattr(optimizer, "_BLOCK_ELEMS", budget)
-        other = _Grid(H, caps, p, cfg.gammaOpt, cfg)
+        other = _Grid(H, caps, p, 257)
         assert np.array_equal(other.A, ctx.A)
         for variant in ("symmetric", "srq", "srm"):
             assert other.evaluate(variant) == ctx.evaluate(variant)
@@ -398,7 +394,7 @@ def test_reported_rates_match_search_value(L, nBrute):
         ch = ChannelInstance(H, g, np.full(L, 50.0), np.full(L, 12.5))
         caps = np.asarray(second_hop_region(ch.g, ch.P_R).perRelayCapacity)
         contexts = {
-            common: _Grid(ch.H, caps, _grid_rows(ch.P, common, cfg), cfg.gammaOpt, cfg)
+            common: _Grid(ch.H, caps, _grid_rows(ch.P, common, cfg), cfg.gammaOpt)
             for common in (True, False)
         }
         for scheme, (asg, report) in evaluate_all(ch, cfg).items():
@@ -436,13 +432,15 @@ def test_determinism():
     assert a == b
 
 
-def test_optimize_and_evaluate_wrappers():
-    cfg = OptimizerConfig(nBrute=10, schemeVariant="acf-mq")
+def test_evaluate_all_scheme_subset():
+    cfg = OptimizerConfig(nBrute=10)
     ch = ChannelInstance(
         np.array([[0.9, 0.2], [-0.5, 1.4]]), np.array([0.8, 1.3]), np.full(2, 20.0), np.full(2, 5.0)
     )
-    asg, report = optimize_sum_rate(ch, cfg)
-    assert report.sumRate == evaluate_scheme("acf-mq", ch, cfg).sumRate
-    assert asg is None or asg.field_image_full_rank()
+    results = evaluate_all(ch, cfg, ("acf-mq",))
+    assert list(results) == ["acf-mq"]
+    asg, report = results["acf-mq"]
+    assert report.sumRate == evaluate_all(ch, cfg)["acf-mq"][1].sumRate
+    assert asg is None or mat_rank(asg.field_image) == 2
     with pytest.raises(ConfigError):
         evaluate_all(ch, cfg, ("bogus",))

@@ -13,7 +13,6 @@ from ccfrelay.rates import (
     forwarding_rates,
     forwarding_source,
     max_rates_given_structure,
-    region_check,
     second_hop_region,
 )
 from ccfrelay.verify import random_assignment
@@ -109,10 +108,10 @@ def test_max_rates_feasible_and_grid_optimal():
             r = np.array(report.sourceRates)
             r_comp = computation_rate(H, asg.A, np.array(asg.powers))
             assert np.all(r <= r_comp + 1e-12)
-            assert region_check(forwarding_rates(asg, r, variant), region)
+            assert np.all(forwarding_rates(asg, r, variant) <= caps)
             for _ in range(60):
                 cand = r_comp * rng.uniform(0.0, 1.0, size=asg.L)
-                if region_check(forwarding_rates(asg, cand, variant), region):
+                if np.all(forwarding_rates(asg, cand, variant) <= caps):
                     assert np.sum(cand) <= np.sum(r) + 1e-6
 
 
