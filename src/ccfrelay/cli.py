@@ -28,6 +28,10 @@ EXIT_NUMERIC = 4
 
 CSV_HEADER = "scheme,snr_db,mean_sum_rate,stderr,trials,seed"
 
+# bound on the SNR points of a sweep, so that a mistyped range is a
+# configuration error instead of a failed allocation
+_MAX_SNR_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,6 +56,8 @@ class RunConfig:
             raise ConfigError("snrStop must be >= snrStart")
         if self.snrStep <= 0:
             raise ConfigError("snrStep must be positive")
+        if not (self.snrStop - self.snrStart) / self.snrStep < _MAX_SNR_STEPS:
+            raise ConfigError(f"the SNR range must span fewer than {_MAX_SNR_STEPS} steps")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.schemes:
@@ -189,6 +195,9 @@ def emit_csv(result: SweepResult, stream) -> None:
 
 
 def _channel_from_config(mapping: dict) -> ChannelInstance:
+    for key in mapping:
+        if key not in ("H", "g", "P", "P_R"):
+            raise ConfigError(f"unknown channel config key {key!r}")
     try:
         H = np.array([[float(x) for x in row.split()] for row in mapping["H"].split(";")])
         g = np.array([float(x) for x in mapping["g"].split()])
@@ -308,28 +317,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--out", help="output path (default stdout)")
-
     sweep = sub.add_parser("sweep", help="Monte Carlo sum-rate sweep over SNR")
-    common(sweep)
+    sweep.add_argument("--config", help="flat key = value run config file")
+    sweep.add_argument("--seed", type=int, help="base RNG seed")
+    sweep.add_argument("--out", help="CSV output path (default stdout)")
     sweep.add_argument("--snr", help="SNR range in dB as A:B:STEP")
     sweep.add_argument("--trials", type=int)
     sweep.add_argument("--schemes", help="comma-separated subset of " + ",".join(SCHEMES))
     sweep.add_argument("--L", type=int, help="number of sources and relays")
 
     verify = sub.add_parser("verify", help="run the property suites")
-    common(verify)
+    verify.add_argument("--seed", type=int, help="base RNG seed")
+    verify.add_argument("--out", help="JSON report path (default stdout)")
     verify.add_argument("--scope", choices=SCOPES, default="all")
 
     optimize = sub.add_parser("optimize", help="optimize one channel instance from file")
-    common(optimize)
+    optimize.add_argument("--config", help="channel file with the keys H, g, P and P_R")
+    optimize.add_argument("--out", help="JSON output path (default stdout)")
     optimize.add_argument("--schemes", help="comma-separated subset of " + ",".join(SCHEMES))
 
     demo = sub.add_parser("demo-noisy", help="noisy relay computation demo")
-    common(demo)
+    demo.add_argument("--seed", type=int, help="base RNG seed")
     demo.add_argument("--trials", type=int)
     return parser
 

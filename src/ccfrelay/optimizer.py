@@ -43,6 +43,7 @@ from .galois import (
 from .lattice import make_chain_spec
 from .pipeline import ChannelInstance, SchemeAssignment
 from .rates import (
+    VARIANTS,
     RateReport,
     computation_rate,  # noqa: F401  (perfbench/spans.py wraps optimizer.computation_rate)
     max_rates_given_structure,
@@ -565,14 +566,11 @@ class _Grid:
         row they hold at (None when pi_d is not searched)."""
         p = self.p[blk]
         caps = self.caps
-        if variant == "symmetric":
-            off = 0.5 * np.log2(_fold(np.maximum, p, 1)[:, None] / p)
-            link_caps = _fold(np.minimum, np.where(self.mask[blk], caps[None, :, None], np.inf), 1)
-            yield None, (link_caps - off)[:, None, :]
-            return
-        # pe_pow[n, e, m]: power of the source shaping-ranked pi_e(m)
-        pe_pow = self.p_sorted[blk][:, self.perms - 1]
-        if variant == "srm":
+        # pe_pow[n, e, m]: power of the source shaping-ranked pi_e(m); the
+        # symmetric modulo lattice is the coarsest one, of the largest power
+        ps = self.p_sorted[blk]
+        pe_pow = ps[:, None, -1:] if variant == "symmetric" else ps[:, self.perms - 1]
+        if variant in ("srm", "symmetric"):
             off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
             limits = np.where(self.mask[blk][:, None], caps[None, None, :, None] - off, np.inf)
             yield None, _fold(np.minimum, limits, 2)
@@ -592,7 +590,7 @@ class _Grid:
 
         Ties go to the lexicographically largest rate tuple, then to the
         first candidate in (row, pi_d, pi_e) order."""
-        if variant not in ("symmetric", "srq", "srm", "srmq"):
+        if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
         feas_d = self._feasibility("d") if variant in ("srq", "srmq") else None
         feas_e = self._feasibility("e") if variant in ("srm", "srmq") else None

@@ -75,44 +75,42 @@ def computation_rate(H, A, p) -> np.ndarray:
     return r
 
 
-def _power_offsets(asg: SchemeAssignment, variant: str) -> np.ndarray:
-    """Per-relay shaping-volume offset: half the log power ratio between
-    the relay's modulo lattice and a reference shaping lattice."""
-    p = np.asarray(asg.powers, dtype=float)
-    pi_s_inv = perm_inverse(asg.pi_s)
-    if variant == "symmetric":
-        coarse = np.full(asg.L, pi_s_inv[asg.L - 1])
-    else:
-        coarse = np.array([pi_s_inv[asg.pi_e[m] - 1] for m in range(asg.L)])
-    return 0.5 * np.log2(p[coarse - 1])
-
-
 def forwarding_source(asg: SchemeAssignment) -> np.ndarray:
     """source whose layer relay m forwards: pi_c^{-1}(pi_d(m)), 1-based."""
     pi_c_inv = perm_inverse(asg.pi_c)
     return np.array([pi_c_inv[asg.pi_d[m] - 1] for m in range(asg.L)])
 
 
-def forwarding_rates(asg: SchemeAssignment, r, variant: str) -> np.ndarray:
-    """Per-relay forwarding rate for the given recovery variant."""
+def _links(asg: SchemeAssignment, variant: str):
+    """Forwarding structure of a recovery variant: (link, half_log_pe, half_log_p).
+
+    ``link[m, l]`` says whether relay m forwards source l: the one layer
+    pi_c^{-1}(pi_d(m)) for srq and srmq, every source it combines for srm
+    and symmetric.  A forwarded layer costs its rate plus the volume offset
+    half_log_pe[m] - half_log_p[l] between relay m's modulo lattice (ranked
+    pi_e(m) in shaping, or the coarsest for symmetric) and source l's
+    shaping lattice; srq forwards quantized layers, with zero offsets."""
     if variant not in VARIANTS:
         raise VariantMismatchError(f"unknown variant {variant!r}")
-    r = np.asarray(r, dtype=float)
-    p = np.asarray(asg.powers, dtype=float)
     L = asg.L
+    one_layer = variant in ("srq", "srmq")
+    link = np.eye(L, dtype=bool)[forwarding_source(asg) - 1] if one_layer else asg.A != 0
     if variant == "srq":
-        return r[forwarding_source(asg) - 1]
-    half_log_pe = _power_offsets(asg, variant)
-    if variant == "srmq":
-        src = forwarding_source(asg) - 1
-        return np.maximum(0.0, r[src] + half_log_pe - 0.5 * np.log2(p[src]))
-    R = np.zeros(L)
-    for m in range(L):
-        links = np.nonzero(asg.A[m])[0]
-        if links.size == 0:
-            continue
-        R[m] = max(0.0, np.max(r[links] + half_log_pe[m] - 0.5 * np.log2(p[links])))
-    return R
+        return link, np.zeros(L), np.zeros(L)
+    p = np.asarray(asg.powers, dtype=float)
+    pi_s_inv = perm_inverse(asg.pi_s)
+    ranks = np.full(L, L) if variant == "symmetric" else np.asarray(asg.pi_e)
+    coarse = np.array([pi_s_inv[k - 1] for k in ranks])
+    return link, 0.5 * np.log2(p[coarse - 1]), 0.5 * np.log2(p)
+
+
+def forwarding_rates(asg: SchemeAssignment, r, variant: str) -> np.ndarray:
+    """Per-relay forwarding rate for the given recovery variant: the
+    costliest layer the relay forwards, at least zero."""
+    link, half_log_pe, half_log_p = _links(asg, variant)
+    r = np.asarray(r, dtype=float)
+    cost = (r[None, :] + half_log_pe[:, None]) - half_log_p[None, :]
+    return np.maximum(0.0, np.max(np.where(link, cost, -np.inf), axis=1))
 
 
 def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion, variant: str) -> RateReport:
@@ -123,30 +121,13 @@ def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion,
     Raises InfeasibleStructureError when even zero rates violate a
     forwarding constraint.
     """
-    if variant not in VARIANTS:
-        raise VariantMismatchError(f"unknown variant {variant!r}")
+    link, half_log_pe, half_log_p = _links(asg, variant)
     L = asg.L
-    p = np.asarray(asg.powers, dtype=float)
     caps = np.asarray(region.perRelayCapacity, dtype=float)
-    r_comp = computation_rate(H, asg.A, p)
-
-    bounds = np.full(L, np.inf)
-    if variant == "srq":
-        src = forwarding_source(asg) - 1
-        for m in range(L):
-            bounds[src[m]] = min(bounds[src[m]], caps[m])
-    elif variant == "srmq":
-        src = forwarding_source(asg) - 1
-        half_log_pe = _power_offsets(asg, variant)
-        for m in range(L):
-            limit = caps[m] - (half_log_pe[m] - 0.5 * np.log2(p[src[m]]))
-            bounds[src[m]] = min(bounds[src[m]], limit)
-    else:
-        half_log_pe = _power_offsets(asg, variant)
-        for m in range(L):
-            for l in np.nonzero(asg.A[m])[0]:
-                limit = caps[m] - (half_log_pe[m] - 0.5 * np.log2(p[l]))
-                bounds[l] = min(bounds[l], limit)
+    r_comp = computation_rate(H, asg.A, asg.powers)
+    # each source's tightest forwarding constraint over the relays forwarding it
+    limits = caps[:, None] - (half_log_pe[:, None] - half_log_p[None, :])
+    bounds = np.min(np.where(link, limits, np.inf), axis=0)
 
     if np.any(bounds < 0):
         raise InfeasibleStructureError("a forwarding constraint excludes even zero rate")

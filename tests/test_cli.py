@@ -178,7 +178,7 @@ def test_main_sweep_writes_csv(tmp_path):
 def test_main_exit_code_config_error(tmp_path, capsys):
     assert main(["sweep", "--snr", "nonsense"]) == EXIT_CONFIG
     assert main(["sweep", "--schemes", "bogus", "--trials", "1", "--L", "1"]) == EXIT_CONFIG
-    for snr in ("10:0:2", "nan:1:1", "0:inf:1"):
+    for snr in ("10:0:2", "nan:1:1", "0:inf:1", "0:1e300:1"):
         assert main(["sweep", "--snr", snr, "--trials", "1", "--L", "1"]) == EXIT_CONFIG
     for line in ("trials = x", "relayPowerRatio = nan"):
         path = tmp_path / "run.cfg"
@@ -186,7 +186,7 @@ def test_main_exit_code_config_error(tmp_path, capsys):
         assert main(["sweep", "--config", str(path), "--L", "1"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("config error: ") == 7
+    assert captured.err.count("config error: ") == 8
 
 
 def test_main_exit_code_numeric_error(capsys):
@@ -300,6 +300,34 @@ def test_format_flag_is_rejected(command, capsys):
         main([command, "--format", "csv"])
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config", "missing.cfg"],
+        ["optimize", "--seed", "1"],
+        ["demo-noisy", "--config", "missing.cfg"],
+        ["demo-noisy", "--out", "demo.txt"],
+    ],
+    ids=["verify-config", "optimize-seed", "demo-noisy-config", "demo-noisy-out"],
+)
+def test_option_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+def test_optimize_rejects_unknown_channel_key(tmp_path, capsys):
+    # the channel file holds the channel only: search settings such as
+    # gammaOpt are not read from it, so they are rejected like any typo
+    cfg = tmp_path / "chan.cfg"
+    cfg.write_text("H = 1 0; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 1\ngammaOpt = 4\nbogus = 1\n", encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg), "--schemes", "scf"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and "'gammaOpt'" in captured.err
 
 
 def test_gamma_exact_config_key_is_rejected(tmp_path):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,12 @@ from ccfrelay.rates import (
 )
 from ccfrelay.verify import random_assignment
 
+RATE_REPORTS = Path(__file__).parent / "data" / "rate_reports.json"
 
-def draw_case(rng, L=None, pow_hi=8.0):
+
+def draw_case(rng, L=None, pow_hi=8.0, gamma=257):
     L = L if L is not None else int(rng.integers(2, 5))
-    base = random_assignment(np.random.default_rng(rng.integers(2**32)), 257, 2 * L, L)
+    base = random_assignment(np.random.default_rng(rng.integers(2**32)), gamma, 2 * L, L)
     asg = SchemeAssignment(
         spec=base.spec,
         pi_c=base.pi_c,
@@ -166,3 +171,54 @@ def test_rate_report_coerces_types():
     rep = RateReport((1, 2), (2, 1), 3.0, True, ["computation-limited"] * 2)
     assert rep.sourceRates == (1.0, 2.0)
     assert isinstance(rep.limiting, tuple)
+
+
+def rate_report_records():
+    """repr of every field of max_rates_given_structure, or the name of the
+    exception it raises, and of forwarding_rates on a random r >= 0, for
+    seeded cases at L = 1..4 over every variant.  Coefficients mod 3 put
+    zeros in A; a third of the cases draw caps small enough that the
+    volume offsets make most srm, srmq and symmetric structures
+    infeasible."""
+    records = []
+    for L in range(1, 5):
+        for case in range(30):
+            rng = np.random.default_rng((L, case))
+            asg, H = draw_case(rng, L=L, pow_hi=1e3, gamma=3 if case % 2 else 257)
+            # near-integer channels give most sources a positive computation rate
+            H = asg.A + 0.1 * H
+            caps = rng.uniform(0.0, 0.5 if case % 3 == 0 else 6.0, size=L)
+            r = rng.uniform(0.0, 3.0, size=L) * (rng.uniform(size=L) < 0.8)
+            for variant in VARIANTS:
+                try:
+                    rep = max_rates_given_structure(asg, H, SecondHopRegion(tuple(caps)), variant)
+                    report = {
+                        "sourceRates": repr(rep.sourceRates),
+                        "forwardingRates": repr(rep.forwardingRates),
+                        "sumRate": repr(rep.sumRate),
+                        "feasible": repr(rep.feasible),
+                        "limiting": repr(rep.limiting),
+                    }
+                except InfeasibleStructureError as exc:
+                    report = type(exc).__name__
+                records.append(
+                    {
+                        "L": L,
+                        "case": case,
+                        "variant": variant,
+                        "report": report,
+                        "forwarding": repr(tuple(float(R) for R in forwarding_rates(asg, r, variant))),
+                    }
+                )
+    return records
+
+
+def test_rate_reports_are_bit_identical_to_the_recorded_ones():
+    recorded = json.loads(RATE_REPORTS.read_text(encoding="utf-8"))
+    assert rate_report_records() == recorded
+
+
+if __name__ == "__main__":
+    # regenerate the recorded reports: python tests/test_rates.py
+    lines = ",\n".join(json.dumps(record) for record in rate_report_records())
+    RATE_REPORTS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")

@@ -5,6 +5,8 @@ non-dunder method of a top-level class must be referenced somewhere in
 ``src/`` (as a name or an attribute), be exported in ``ccfrelay.__all__``,
 or be named by a string in ``perfbench/spans.py``, which wraps library
 bindings by name.  A helper that only a test calls belongs in the test.
+Likewise a name imported under ``# noqa: F401`` (unused by its module)
+must be one that ``perfbench/spans.py`` wraps.
 """
 
 import ast
@@ -46,6 +48,22 @@ def _spans_strings():
     return {
         node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+
+
+def test_unused_imports_are_only_the_benchmark_wraps():
+    # a name imported under ``# noqa: F401`` is one the module does not use;
+    # it is kept only so that perfbench/spans.py can wrap that binding
+    spans = _spans_strings()
+    unwrapped = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if "# noqa: F401" in lines[alias.lineno - 1] and (alias.asname or alias.name) not in spans:
+                        unwrapped.append(f"{path.name}:{alias.name}")
+    assert not unwrapped, f"imported under noqa: F401 but not wrapped by perfbench/spans.py: {unwrapped}"
 
 
 def test_every_library_definition_has_a_caller():
