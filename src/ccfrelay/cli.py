@@ -60,6 +60,8 @@ class RunConfig:
             raise ConfigError(f"the SNR range must span fewer than {_MAX_SNR_STEPS} steps")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.schemes:
             raise ConfigError("schemes must be nonempty")
         for s in self.schemes:
@@ -241,7 +243,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify(args.scope, seed=args.seed if args.seed is not None else 0)
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    report = run_verify(args.scope, seed=seed)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -281,6 +286,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_demo_noisy(args) -> int:
     seed = args.seed if args.seed is not None else 0
     trials = args.trials if args.trials is not None else 200
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     asg = random_assignment(rng, gamma=3, n=2, L=2)
     # integer channel equal to the combination coefficients, so decoding

@@ -153,37 +153,53 @@ def is_permutation(perm, L: int) -> bool:
     return sorted(int(v) for v in perm) == list(range(1, L + 1))
 
 
+def nonsingular_minors(A, gamma: int) -> np.ndarray:
+    """Which square submatrices of each A (K, L, L) are nonsingular modulo
+    gamma, as (K, 2^L, 2^L) indexed by the bit masks of their rows and
+    columns.  Determinants mod gamma by Laplace expansion along the first
+    row, smaller minors first; the empty minor is 1."""
+    K, L, _ = A.shape
+    a = A % gamma
+    det = np.zeros((K, 1 << L, 1 << L), dtype=np.int64)
+    det[:, 0, 0] = 1
+    by_size = [[m for m in range(1 << L) if bin(m).count("1") == s] for s in range(L + 1)]
+    for size in by_size[1:]:
+        for R in size:
+            r0 = (R & -R).bit_length() - 1
+            for C in size:
+                acc = 0
+                for pos, c in enumerate(c for c in range(L) if C >> c & 1):
+                    term = a[:, r0, c] * det[:, R ^ (1 << r0), C ^ (1 << c)] % gamma
+                    acc = acc - term if pos % 2 else acc + term
+                det[:, R, C] = acc % gamma
+    return det != 0
+
+
 def _greedy_row_deletion(Q: FieldMatrix, column_order, labels):
     """Shared constructor for feasible_pi_d / feasible_pi_e.
 
     Starting from the full square matrix, repeatedly delete the next column
     in ``column_order`` (a 1-based source index) and then the first relay
-    row whose removal preserves full rank.  The deleted relay receives the
-    corresponding entry of ``labels``; the survivor gets the last label.
+    row whose removal leaves a nonsingular square submatrix.  The deleted
+    relay receives the corresponding entry of ``labels``; the survivor gets
+    the last label.
     """
-    L = Q.rows
     if Q.rows != Q.cols:
         raise NotFullRankError("coefficient matrix must be square")
-    if mat_rank(Q) < L:
+    L = Q.rows
+    nonsingular = nonsingular_minors(Q.entries[None], Q.modulus)[0]
+    rows = cols = (1 << L) - 1
+    if not nonsingular[rows, cols]:
         raise NotFullRankError("coefficient matrix is singular over F_gamma")
-    active_rel = list(range(1, L + 1))
-    active_src = list(range(1, L + 1))
     assignment = [0] * L
     for col, label in zip(column_order, labels[:-1]):
-        active_src.remove(col)
-        size = len(active_src)
-        deleted = None
-        for cand in active_rel:
-            trial = [m for m in active_rel if m != cand]
-            sub = residual_submatrix(Q, active_src, trial)
-            if mat_rank(sub) == size:
-                deleted = cand
-                break
+        cols ^= 1 << (col - 1)
         # Appendix-style existence: a full-column-rank tall matrix always
-        # admits a row whose removal keeps the rank, so deleted is never None.
-        assignment[deleted - 1] = label
-        active_rel.remove(deleted)
-    assignment[active_rel[0] - 1] = labels[-1]
+        # admits a row whose removal keeps the rank, so some m qualifies.
+        m = next(m for m in range(L) if rows >> m & 1 and nonsingular[rows ^ 1 << m, cols])
+        assignment[m] = label
+        rows ^= 1 << m
+    assignment[rows.bit_length() - 1] = labels[-1]
     return tuple(assignment)
 
 
@@ -192,6 +208,8 @@ def feasible_pi_d(Q: FieldMatrix, pi_c) -> tuple:
 
     The result satisfies: for every j, the submatrix of Q with columns
     {l : pi_c(l) <= j} and rows {m : pi_d(m) <= j} is full rank.
+    It reads Q's nonsingular-minors table, whose 4^L entries cost O(4^L)
+    time and memory: meant for the small L the optimizer supports.
     """
     L = Q.rows
     pi_c_inv = perm_inverse(pi_c)
@@ -205,6 +223,8 @@ def feasible_pi_e(Q: FieldMatrix, pi_s) -> tuple:
 
     The result satisfies: for every i, the submatrix of Q with columns
     {l : pi_s(l) >= i} and rows {m : pi_e(m) >= i} is full rank.
+    It reads Q's nonsingular-minors table, whose 4^L entries cost O(4^L)
+    time and memory: meant for the small L the optimizer supports.
     """
     L = Q.rows
     pi_s_inv = perm_inverse(pi_s)

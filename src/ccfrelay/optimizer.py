@@ -36,6 +36,7 @@ from .galois import (
     FieldMatrix,
     _check_prime,
     mat_rank,
+    nonsingular_minors,
     residual_submatrix,
     srm_index_sets,
     srq_index_sets,
@@ -45,7 +46,8 @@ from .pipeline import ChannelInstance, SchemeAssignment
 from .rates import (
     VARIANTS,
     RateReport,
-    computation_rate,  # noqa: F401  (perfbench/spans.py wraps optimizer.computation_rate)
+    _fold,
+    computation_rate,
     max_rates_given_structure,
     second_hop_region,
 )
@@ -367,15 +369,6 @@ def pi_e_is_feasible(Q: FieldMatrix, pi_s, pi_e) -> bool:
     return True
 
 
-def _fold(op, x, axis: int):
-    """``op.reduce(x, axis)`` as a running ``op`` over the slices of a short
-    axis, which numpy reduces an order of magnitude more slowly.  Only for
-    operations whose result does not depend on the order (minimum, maximum,
-    logical and/or), so the result is the same.  May return a view of x."""
-    lead = (slice(None),) * axis
-    return functools.reduce(op, (x[lead + (i,)] for i in range(1, x.shape[axis])), x[lead + (0,)])
-
-
 def _group_rows(keys):
     """Distinct rows of an integer array (N, K): the index of one row of
     each group and the group of every row.  A lexsort, much faster than
@@ -387,28 +380,6 @@ def _group_rows(keys):
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
-
-
-def _nonsingular_minors(A, gamma: int) -> np.ndarray:
-    """Which square submatrices of each A (K, L, L) are nonsingular modulo
-    gamma, as (K, 2^L, 2^L) indexed by the bit masks of their rows and
-    columns.  Determinants mod gamma by Laplace expansion along the first
-    row, smaller minors first; the empty minor is 1."""
-    K, L, _ = A.shape
-    a = A % gamma
-    det = np.zeros((K, 1 << L, 1 << L), dtype=np.int64)
-    det[:, 0, 0] = 1
-    by_size = [[m for m in range(1 << L) if bin(m).count("1") == s] for s in range(L + 1)]
-    for size in by_size[1:]:
-        for R in size:
-            r0 = (R & -R).bit_length() - 1
-            for C in size:
-                acc = 0
-                for pos, c in enumerate(c for c in range(L) if C >> c & 1):
-                    term = a[:, r0, c] * det[:, R ^ (1 << r0), C ^ (1 << c)] % gamma
-                    acc = acc - term if pos % 2 else acc + term
-                det[:, R, C] = acc % gamma
-    return det != 0
 
 
 def _level_masks(labels, kind: str) -> np.ndarray:
@@ -425,7 +396,7 @@ def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
     ("e", given pi_s = pi[k]) among perms (P, L) for each A (K, L, L): the
     rank conditions of pi_d_is_feasible / pi_e_is_feasible, read off the
     nonsingular minors of A."""
-    nonsingular = _nonsingular_minors(A, gamma)
+    nonsingular = nonsingular_minors(A, gamma)
     relays = _level_masks(perms, kind)
     sources = _level_masks(pi, kind)
     return _fold(np.logical_and, nonsingular[np.arange(len(A))[:, None, None], relays[None], sources[:, None]], 2)
@@ -454,18 +425,6 @@ def _coding_key(p, r_comp):
     r = np.minimum(np.asarray(r_comp, dtype=float), 500.0)
     key = np.log2(np.asarray(p, dtype=float)) - 2.0 * r
     return np.round(key * 1e9) / 1e9
-
-
-def _comp_rates_batched(p, tau, mask):
-    """Computation rates for batched rows.
-
-    p: (N, L) powers; tau: (N, L) per-relay noise powers; mask: (N, L, L)
-    nonzero-coefficient indicator indexed (row, relay, source)."""
-    worst = _fold(np.maximum, np.where(mask, tau[:, :, None], -np.inf), 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = 0.5 * np.log2(p / np.maximum(worst, 1e-300))
-    r = np.where(worst <= 0, np.inf, r)
-    return np.maximum(r, 0.0)
 
 
 def _argbest(vals, r):
@@ -537,13 +496,7 @@ class _Grid:
             A = _select_A2(_gram(self.H, p), self.gamma)[0]
         else:
             A = select_coefficients(self.H, p, self.gamma)
-        # mmse_noise_power for every (row, relay), in its operation order
-        a = A.astype(float)
-        pa = p[:, None, :] * a
-        tau = np.vecdot(a, pa) - np.float_power(np.vecdot(self.H[None], pa), 2) / (
-            1.0 + np.vecdot(self.H[None], p[:, None, :] * self.H[None])
-        )
-        return A, _comp_rates_batched(p, tau, A != 0)
+        return A, computation_rate(self.H, A, p)
 
     def _feasibility(self, kind):
         """Feasible pi_d ("d", given pi_c) or pi_e ("e", given pi_s), in

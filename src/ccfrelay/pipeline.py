@@ -168,12 +168,16 @@ def effective_noise_power(h_m, a_m, p, alpha: float) -> float:
     return float(alpha * alpha + p @ (alpha * h - a) ** 2)
 
 
-def mmse_noise_power(h_m, a_m, p) -> float:
-    """Closed form of the effective-noise power at the optimal alpha."""
+def mmse_noise_power(h_m, a_m, p):
+    """Closed form of the effective-noise power at the optimal alpha.
+
+    The arguments hold a channel row, a coefficient row and the powers
+    along their last axis and broadcast over any leading batch axes."""
     h = np.asarray(h_m, dtype=float)
     a = np.asarray(a_m, dtype=float)
     p = np.asarray(p, dtype=float)
-    return float(a @ (p * a) - (h @ (p * a)) ** 2 / (1.0 + h @ (p * h)))
+    pa = p * a
+    return np.vecdot(a, pa) - np.float_power(np.vecdot(h, pa), 2) / (1.0 + np.vecdot(h, p * h))
 
 
 def finest_participating_level(m: int, asg: SchemeAssignment) -> int:

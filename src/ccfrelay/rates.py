@@ -6,6 +6,7 @@ achievability inequalities are reported at their suprema.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,24 +56,30 @@ def second_hop_region(g, P_R) -> SecondHopRegion:
     return SecondHopRegion(tuple(0.5 * np.log2(1.0 + g * g * P_R)))
 
 
+def _fold(op, x, axis: int):
+    """``op.reduce(x, axis)`` as a running ``op`` over the slices of a short
+    axis, which numpy reduces an order of magnitude more slowly.  Only for
+    operations whose result does not depend on the order (minimum, maximum,
+    logical and/or), so the result is the same.  May return a view of x."""
+    lead = (slice(None),) * axis
+    return functools.reduce(op, (x[lead + (i,)] for i in range(1, x.shape[axis])), x[lead + (0,)])
+
+
 def computation_rate(H, A, p) -> np.ndarray:
-    """Best computation rate of each source over the relays combining it."""
-    H = np.asarray(H, dtype=float)
-    A = np.asarray(A, dtype=float)
+    """Best computation rate of each source over the relays combining it.
+
+    Half the log of the source's power over the largest effective-noise
+    power among those relays: infinite when that power is zero, and 0 when
+    no relay combines the source.  A (..., L, L) and p (..., L) may carry
+    leading batch axes, with one channel H (L, L) for all of them."""
+    A = np.asarray(A)
     p = np.asarray(p, dtype=float)
-    L = p.shape[0]
-    tau = np.array([mmse_noise_power(H[m], A[m], p) for m in range(A.shape[0])])
-    r = np.zeros(L)
-    for l in range(L):
-        relays = np.nonzero(A[:, l])[0]
-        if relays.size == 0:
-            continue
-        worst = np.max(tau[relays])
-        if worst <= 0.0:
-            r[l] = np.inf
-        else:
-            r[l] = max(0.0, 0.5 * np.log2(p[l] / worst))
-    return r
+    tau = mmse_noise_power(H, A, p[..., None, :])
+    combined = np.where(A != 0, tau[..., :, None], -np.inf)
+    worst = _fold(np.maximum, combined, combined.ndim - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.maximum(0.5 * np.log2(p / worst), 0.0)
+    return np.where(worst > 0, r, np.where(worst == -np.inf, 0.0, np.inf))
 
 
 def forwarding_source(asg: SchemeAssignment) -> np.ndarray:

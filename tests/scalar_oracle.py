@@ -13,7 +13,6 @@ import numpy as np
 from ccfrelay.errors import ConfigError, NoIndependentRowError, NotFullRankError
 from ccfrelay.galois import FieldMatrix, mat_rank, perm_inverse
 from ccfrelay.optimizer import _coding_key, _gram, _rank_perms, pi_d_is_feasible, pi_e_is_feasible
-from ccfrelay.rates import computation_rate
 
 
 def gram_matrix(h_m, p) -> np.ndarray:
@@ -65,6 +64,29 @@ def lll_reduce(basis, delta: float = 0.75):
             T[[k - 1, k]] = T[[k, k - 1]]
             k = max(k - 1, 1)
     return B, T
+
+
+def computation_rate(H, A, p) -> np.ndarray:
+    """Best computation rate of each source over the relays combining it:
+    the closed-form effective-noise power of one relay at a time, and each
+    source's rate at the worst relay combining it (0 when none does)."""
+    H = np.asarray(H, dtype=float)
+    A = np.asarray(A, dtype=float)
+    p = np.asarray(p, dtype=float)
+    tau = np.empty(len(A))
+    for m, (h, a) in enumerate(zip(H, A)):
+        tau[m] = a @ (p * a) - (h @ (p * a)) ** 2 / (1.0 + h @ (p * h))
+    r = np.zeros(len(p))
+    for l in range(len(p)):
+        relays = np.nonzero(A[:, l])[0]
+        if relays.size == 0:
+            continue
+        worst = np.max(tau[relays])
+        if worst <= 0.0:
+            r[l] = np.inf
+        else:
+            r[l] = max(0.0, 0.5 * np.log2(p[l] / worst))
+    return r
 
 
 def rank_perm(key) -> tuple:

@@ -189,6 +189,26 @@ def test_main_exit_code_config_error(tmp_path, capsys):
     assert captured.err.count("config error: ") == 8
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--seed", "-1", "--trials", "1", "--L", "1"], "seed must be >= 0"),
+        (["sweep", "--config", "{cfg}", "--trials", "1", "--L", "1"], "seed must be >= 0"),
+        (["verify", "--seed", "-1"], "seed must be >= 0"),
+        (["demo-noisy", "--seed", "-1"], "seed must be >= 0"),
+        (["demo-noisy", "--trials", "0"], "trials must be >= 1"),
+    ],
+    ids=["sweep-seed", "sweep-config-seed", "verify-seed", "demo-noisy-seed", "demo-noisy-trials"],
+)
+def test_out_of_range_seed_or_trials_is_a_config_error(argv, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -1\n", encoding="utf-8")
+    assert main([arg.format(cfg=path) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 def test_main_exit_code_numeric_error(capsys):
     # at 150 dB the L = 2 reduction loses its precision on some draw: the
     # sweep stops with a named error that says where, not a traceback

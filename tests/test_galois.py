@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfrelay.errors import IndexOutOfRangeError, SingularMatrixError
+from ccfrelay.errors import IndexOutOfRangeError, NotFullRankError, SingularMatrixError
 from ccfrelay.galois import (
     FieldMatrix,
     feasible_pi_d,
@@ -161,6 +161,70 @@ def test_greedy_pi_d_is_in_brute_force_feasible_set():
                 break
         pi_c = tuple(int(x) for x in rng.permutation(L) + 1)
         assert feasible_pi_d(Q, pi_c) in set(brute_feasible_pi_d(Q, pi_c))
+
+
+def rank_greedy(Q, column_order, labels):
+    """Reference for the permutation constructors, by rank computations:
+    after each column deletion, delete the first active relay row whose
+    removal keeps the residual submatrix full rank, and give it the next
+    label; the survivor gets the last label."""
+    L = Q.rows
+    if mat_rank(Q) < L:
+        raise NotFullRankError("coefficient matrix is singular over F_gamma")
+    active_rel = list(range(1, L + 1))
+    active_src = list(range(1, L + 1))
+    assignment = [0] * L
+    for col, label in zip(column_order, labels[:-1]):
+        active_src.remove(col)
+        for cand in active_rel:
+            trial = [m for m in active_rel if m != cand]
+            if mat_rank(residual_submatrix(Q, active_src, trial)) == len(active_src):
+                break
+        assignment[cand - 1] = label
+        active_rel.remove(cand)
+    assignment[active_rel[0] - 1] = labels[-1]
+    return tuple(assignment)
+
+
+def rank_greedy_pi_d(Q, pi_c):
+    # delete the sources coded coarsest first, labelling relays L down to 1
+    L = Q.rows
+    inv = perm_inverse(pi_c)
+    return rank_greedy(Q, [inv[j - 1] for j in range(L, 1, -1)], list(range(L, 0, -1)))
+
+
+def rank_greedy_pi_e(Q, pi_s):
+    # delete the sources shaped finest first, labelling relays 1 up to L
+    L = Q.rows
+    inv = perm_inverse(pi_s)
+    return rank_greedy(Q, [inv[i - 1] for i in range(1, L)], list(range(1, L + 1)))
+
+
+@pytest.mark.parametrize("gamma", (2, 3, 5, 257))
+def test_constructors_match_the_rank_greedy(gamma):
+    # the constructors read the nonsingular-minors table; they must make the
+    # rank greedy's choice, or raise where it raises.  Every third matrix
+    # repeats a row scaled, so singular ones occur at every L and gamma.
+    rng = np.random.default_rng(gamma)
+    forced = singular = 0
+    for L in range(1, 6):
+        for case in range(100):
+            entries = rng.integers(-gamma, gamma + 1, size=(L, L))
+            if case % 3 == 0 and L > 1:
+                entries[-1] = int(rng.integers(0, gamma)) * entries[0]
+                forced += 1
+            Q = FieldMatrix(entries, gamma)
+            singular += mat_rank(Q) < L
+            pi = tuple(int(x) for x in rng.permutation(L) + 1)
+            for construct, reference in ((feasible_pi_d, rank_greedy_pi_d), (feasible_pi_e, rank_greedy_pi_e)):
+                try:
+                    want = reference(Q, pi)
+                except NotFullRankError:
+                    with pytest.raises(NotFullRankError):
+                        construct(Q, pi)
+                    continue
+                assert construct(Q, pi) == want
+    assert singular >= forced
 
 
 @given(
