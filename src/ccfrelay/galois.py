@@ -28,6 +28,23 @@ def _check_prime(gamma: int) -> None:
         d += 2
 
 
+def int64_array(values, what: str) -> np.ndarray:
+    """values as an int64 array.  Raises ValueError for any value the cast
+    would change (a fraction, NaN, one out of the int64 range); arrays of
+    signed integers need no check."""
+    a = np.asarray(values)
+    if a.dtype.kind == "i":
+        return a.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            z = a.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be integers") from None
+    if not np.array_equal(z, a):
+        raise ValueError(f"{what} must be integers in the int64 range")
+    return z
+
+
 @dataclass(frozen=True)
 class FieldMatrix:
     """A matrix over F_gamma with canonical int64 entries."""
@@ -37,7 +54,7 @@ class FieldMatrix:
 
     def __post_init__(self):
         _check_prime(self.modulus)
-        ent = np.asarray(self.entries, dtype=np.int64)
+        ent = int64_array(self.entries, "matrix entries")
         if ent.ndim != 2:
             raise ValueError("entries must be two-dimensional")
         object.__setattr__(self, "entries", np.mod(ent, self.modulus))
@@ -75,25 +92,25 @@ class IndexSets:
         object.__setattr__(self, "relaySet", rel)
 
 
-def _eliminate(ent: np.ndarray, gamma: int):
-    """Row-reduce a working int64 array in place; return pivot column list."""
-    rows, cols = ent.shape
+def _eliminate(rows: list, gamma: int) -> list:
+    """Row-reduce a list of rows of Python ints in place; return the pivot
+    column list.  The matrices here are at most L x 2L, where a row of
+    Python ints costs far less per operation than a numpy row."""
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
             break
-        nz = np.nonzero(ent[r:, c])[0]
-        if nz.size == 0:
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        p = r + nz[0]
-        if p != r:
-            ent[[r, p]] = ent[[p, r]]
-        inv = pow(int(ent[r, c]), -1, gamma)
-        ent[r] = (ent[r] * inv) % gamma
-        mask = np.nonzero(ent[:, c])[0]
-        mask = mask[mask != r]
-        ent[mask] = (ent[mask] - np.outer(ent[mask, c], ent[r])) % gamma
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = pow(rows[r][c], -1, gamma)
+        pivot = rows[r] = [v * inv % gamma for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(v - f * w) % gamma for v, w in zip(row, pivot)]
         pivots.append(c)
         r += 1
     return pivots
@@ -101,8 +118,7 @@ def _eliminate(ent: np.ndarray, gamma: int):
 
 def mat_rank(M: FieldMatrix) -> int:
     """Rank of M over F_gamma by exact modular elimination."""
-    work = M.entries.copy()
-    return len(_eliminate(work, M.modulus))
+    return len(_eliminate(M.entries.tolist(), M.modulus))
 
 
 def mat_inverse(M: FieldMatrix) -> FieldMatrix:
@@ -113,11 +129,12 @@ def mat_inverse(M: FieldMatrix) -> FieldMatrix:
     if M.rows != M.cols:
         raise SingularMatrixError("matrix is not square")
     n = M.rows
-    work = np.concatenate([M.entries.copy(), np.eye(n, dtype=np.int64)], axis=1)
+    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries.tolist())]
     pivots = _eliminate(work, M.modulus)
-    if len(pivots) < n or pivots != list(range(n)):
-        raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n} has no inverse")
-    return FieldMatrix(work[:, n:], M.modulus)
+    if pivots != list(range(n)):
+        rank = sum(c < n for c in pivots)
+        raise SingularMatrixError(f"matrix of rank {rank} < {n} has no inverse")
+    return FieldMatrix(np.array([row[n:] for row in work], dtype=np.int64).reshape(n, n), M.modulus)
 
 
 def residual_submatrix(Q: FieldMatrix, sources, relays) -> FieldMatrix:

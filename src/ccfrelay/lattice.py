@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, NotInCodebookError, SpecMismatchError
-from .galois import FieldMatrix
+from .galois import FieldMatrix, int64_array
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,11 @@ class ChainSpec:
             raise ValueError("generator must be systematic (identity top block)")
 
     def code_word(self, digits: np.ndarray) -> np.ndarray:
-        """kappa(G digits) for digit arrays with a trailing kMax axis."""
-        return np.mod(digits @ self.G.entries.T, self.gamma)
+        """kappa(G digits) for integer digit arrays with a trailing kMax
+        axis.  G is systematic, so only its rows below the identity block
+        are multiplied out."""
+        parity = digits @ self.G.entries[self.kMax :].T
+        return np.mod(np.concatenate((digits, parity), axis=-1), self.gamma)
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ class ChainPoint:
     ints: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.digits, dtype=np.int64)
-        z = np.asarray(self.ints, dtype=np.int64)
+        d = int64_array(self.digits, "digits")
+        z = int64_array(self.ints, "integer part")
         if d.shape[-1] != self.spec.kMax:
             raise ValueError(f"digit axis must have length kMax={self.spec.kMax}")
         if z.shape[-1] != self.spec.n:
@@ -103,6 +106,17 @@ class ChainPoint:
         return ChainPoint(self.spec, self.digits[idx], self.ints[idx])
 
 
+def _point(spec: ChainSpec, digits: np.ndarray, ints: np.ndarray) -> ChainPoint:
+    """ChainPoint without the checks of ChainPoint.__post_init__, for
+    results the library built itself: canonical int64 digits and an int64
+    integer part with matching batch shapes."""
+    x = object.__new__(ChainPoint)
+    x.__dict__.update(spec=spec, digits=digits, ints=ints)
+    digits.setflags(write=False)
+    ints.setflags(write=False)
+    return x
+
+
 def _require_same_spec(a: ChainPoint, b: ChainPoint) -> None:
     if a.spec != b.spec:
         raise SpecMismatchError("points belong to different chain specifications")
@@ -120,7 +134,7 @@ def combine(points, coeffs) -> ChainPoint:
         words = words + c * spec.code_word(x.digits)
         ints = ints + c * x.ints
     digits = np.mod(raw, spec.gamma)
-    return ChainPoint(spec, digits, ints + (words - spec.code_word(digits)) // spec.gamma)
+    return _point(spec, digits, ints + (words - spec.code_word(digits)) // spec.gamma)
 
 
 def point_add(a: ChainPoint, b: ChainPoint) -> ChainPoint:
@@ -149,7 +163,7 @@ def mod_level(x: ChainPoint, k: int) -> ChainPoint:
         raise ValueError(f"level must be in [0, kMax], got {k}")
     digits = x.digits.copy()
     digits[..., :k] = 0
-    return ChainPoint(spec, digits, np.zeros_like(x.ints))
+    return _point(spec, digits, np.zeros_like(x.ints))
 
 
 def quantize_level(x: ChainPoint, k: int) -> ChainPoint:
@@ -164,7 +178,7 @@ def encode_message(w, lp: LevelPair, spec: ChainSpec) -> ChainPoint:
     digits and the integer part are zero, which is already the canonical
     residue modulo the shaping lattice.
     """
-    w = np.asarray(w, dtype=np.int64)
+    w = int64_array(w, "message digits")
     width = lp.kCoding - lp.kShaping
     if w.shape[-1] != width:
         raise LengthMismatchError(f"message length {w.shape[-1]} != {width}")

@@ -9,6 +9,7 @@ shaping position pi_e(m).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import DecodeFailure, SpecMismatchError
 from .galois import FieldMatrix, is_permutation
-from .lattice import ChainPoint, ChainSpec, LevelPair, combine, encode_message, mod_level, quantize_level, real_embed
-from .lattice import point_add, point_scale  # noqa: F401  (perfbench/spans.py wraps these pipeline bindings)
+from .lattice import ChainPoint, ChainSpec, LevelPair, _point, combine, encode_message, real_embed
+from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these pipeline bindings)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class SchemeAssignment:
     def L(self) -> int:
         return len(self.pi_c)
 
-    @property
+    @functools.cached_property
     def field_image(self) -> FieldMatrix:
         """The coefficient matrix reduced into F_gamma."""
         return FieldMatrix(self.A, self.spec.gamma)
@@ -148,8 +149,13 @@ def relay_combination(t, m: int, asg: SchemeAssignment) -> ChainPoint:
 
 def compress(delta: ChainPoint, m: int, asg: SchemeAssignment) -> ChainPoint:
     """Quantize onto the relay's coarse lattice, then fold modulo its
-    shaping-chain lattice."""
-    return mod_level(quantize_level(delta, asg.quantize_level_of(m)), asg.modulo_level_of(m))
+    shaping-chain lattice: mod_level(quantize_level(delta, kq), ke), which
+    keeps the digits at positions ke <= k < kq and no integer part."""
+    if delta.spec != asg.spec:
+        raise SpecMismatchError("relay combination spec differs from assignment spec")
+    k = np.arange(asg.spec.kMax)
+    band = (asg.modulo_level_of(m) <= k) & (k < asg.quantize_level_of(m))
+    return _point(asg.spec, delta.digits * band, np.zeros_like(delta.ints))
 
 
 def mmse_alpha(h_m, a_m, p) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, SingularResidualError, SpecMismatchError
 from .galois import mat_inverse, residual_submatrix, srm_index_sets, srq_index_sets
-from .lattice import ChainPoint
+from .lattice import _point
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
 from .pipeline import SchemeAssignment
 
@@ -56,7 +56,7 @@ def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> np.ndarray:
 def _points(spec, D: np.ndarray) -> list:
     """Canonical residues with the digit rows of D."""
     zeros = np.zeros(D.shape[1:-1] + (spec.n,), dtype=np.int64)
-    return [ChainPoint(spec, d, zeros) for d in D]
+    return [_point(spec, d, zeros) for d in D]
 
 
 def _below(levels, shape: tuple) -> np.ndarray:
@@ -66,10 +66,15 @@ def _below(levels, shape: tuple) -> np.ndarray:
     return mask.reshape((len(levels),) + (1,) * (len(shape) - 2) + (shape[-1],))
 
 
+def _times(M, X) -> np.ndarray:
+    """The integer matrix M applied along the leading axis of X."""
+    return (M @ X.reshape(len(X), -1)).reshape((len(M),) + X.shape[1:])
+
+
 def _cancel(V, A, T, gamma: int, quant, fold) -> np.ndarray:
     """Digits of [v_m - Q_quant[m](sum_l a_ml t_l)] mod Lambda(fold[m]) for
     every relay m, from relay digits V and source digits T."""
-    C = np.tensordot(A, T, axes=(1, 0)) * _below(quant, V.shape)
+    C = _times(A, T) * _below(quant, V.shape)
     return np.mod(V - C, gamma) * ~_below(fold, V.shape)
 
 
@@ -81,7 +86,7 @@ def _solve_layer(asg: SchemeAssignment, sets, V, band, phase: str, iteration: in
     except SingularMatrixError:
         raise SingularResidualError(phase, iteration) from None
     U = V[np.subtract(sets.relaySet, 1), ..., band]
-    return np.tensordot(inv.entries, U, axes=(1, 0)) % asg.spec.gamma
+    return _times(inv.entries, U) % asg.spec.gamma
 
 
 def srq(v, asg: SchemeAssignment, common_shaping_level: int):

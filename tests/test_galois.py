@@ -81,6 +81,62 @@ def test_inverse_roundtrip_and_singular_detection():
                 mat_inverse(M)
 
 
+def cofactor_inverse(entries, gamma):
+    """Inverse oracle: adjugate over determinant mod gamma, or None when
+    the determinant is zero; determinants by cofactor expansion."""
+
+    def det(mat):
+        if not mat:
+            return 1
+        return sum((-1) ** j * mat[0][j] * det([row[:j] + row[j + 1 :] for row in mat[1:]]) for j in range(len(mat)))
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1 :] for k, row in enumerate(ent) if k != i]
+
+    ent = [[int(x) for x in row] for row in entries]
+    n = len(ent)
+    d = det(ent) % gamma
+    if d == 0:
+        return None
+    d_inv = pow(d, -1, gamma)
+    return [[(-1) ** (i + j) * det(minor(j, i)) * d_inv % gamma for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("gamma", (2, 3, 7, 257, 65521, 2147483647))
+def test_rank_and_inverse_match_the_scalar_oracles(gamma):
+    # every third matrix repeats a combination of two rows, so singular
+    # matrices occur at every size and modulus
+    rng = np.random.default_rng(gamma)
+    singular = 0
+    for case in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+        if case % 2:
+            cols = rows
+        entries = rng.integers(-gamma, gamma + 1, size=(rows, cols))
+        if case % 3 == 0 and rows > 2:
+            c1, c2 = (int(v) for v in rng.integers(0, gamma, size=2))
+            entries[-1] = (c1 * entries[0] + c2 * (entries[1] % gamma)) % gamma
+        M = FieldMatrix(entries, gamma)
+        assert mat_rank(M) == brute_rank(M.entries.tolist(), gamma)
+        if rows != cols:
+            continue
+        want = cofactor_inverse(M.entries.tolist(), gamma)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(M)
+        else:
+            assert mat_inverse(M).entries.tolist() == want
+    assert singular > 0
+
+
+def test_matrix_rejects_non_integer_entries():
+    for entries in ([[1.5, 2], [0, 1]], [[np.nan, 0], [0, 1]], [[1e19, 0], [0, 1]], [[2**70, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            FieldMatrix(entries, 3)
+    assert FieldMatrix([[4.0, 2], [0, -1]], 3) == FieldMatrix(np.array([[1, 2], [0, 2]], dtype=np.int8), 3)
+
+
 def test_residual_submatrix_indexing():
     M = FieldMatrix(np.arange(9).reshape(3, 3), 11)
     sub = residual_submatrix(M, sources=(1, 3), relays=(2, 3))

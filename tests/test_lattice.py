@@ -63,6 +63,42 @@ def test_point_validation():
         ChainPoint(spec, np.array([0]), np.array([0, 0]))
 
 
+def test_point_and_message_reject_values_the_int64_cast_would_change():
+    spec = make_chain_spec(3, 4, 4)
+    zeros = [0, 0, 0, 0]
+    for digits, ints in (
+        ([1.7, 0, 2.9, 0], [0.5, 0, 0, 0]),
+        ([1, 0, 2, 0], [0.5, 0, 0, 0]),
+        ([np.nan, 0, 0, 0], zeros),
+        ([1, 0, 2, 0], [1e19, 0, 0, 0]),
+        ([1, 0, 2, 0], np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64)),
+        ([1, 0, 2, 0], [2**70, 0, 0, 0]),
+    ):
+        with pytest.raises(ValueError):
+            ChainPoint(spec, digits, ints)
+    # integer-valued input of any dtype is still accepted
+    x = ChainPoint(spec, np.array([1.0, 0, 2, 0]), np.array([-3, 0, 0, 1], dtype=np.int8))
+    assert x == ChainPoint(spec, np.array([1, 0, 2, 0]), np.array([-3, 0, 0, 1]))
+    assert x.digits.dtype == x.ints.dtype == np.int64
+    lp = LevelPair(3, 1)
+    with pytest.raises(ValueError):
+        encode_message([1.9, 2.2], lp, spec)
+    assert encode_message([1.0, 2.0], lp, spec) == encode_message(np.array([1, 2]), lp, spec)
+
+
+def test_code_word_matches_the_full_generator_product():
+    # parity rows below the identity block; digits need not be canonical
+    rng = np.random.default_rng(11)
+    for gamma, n, kMax in ((2, 5, 2), (3, 8, 5), (5, 6, 3), (7, 4, 4), (257, 9, 4)):
+        spec = make_chain_spec(gamma, n, kMax, rng=rng)
+        for d in (
+            rng.integers(0, gamma, size=(7, kMax)),
+            rng.integers(-5 * gamma, 5 * gamma, size=(2, 3, kMax)),
+            rng.integers(-(2**20), 2**20, size=kMax),
+        ):
+            np.testing.assert_array_equal(spec.code_word(d), np.mod(d @ spec.G.entries.T, gamma))
+
+
 def test_embedding_is_group_homomorphism():
     # n > kMax puts parity rows under the carries
     rng = np.random.default_rng(0)

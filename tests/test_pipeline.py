@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ccfrelay.errors import DecodeFailure, SpecMismatchError
-from ccfrelay.galois import mat_rank
-from ccfrelay.lattice import make_chain_spec, mod_level, quantize_level, real_embed
+from ccfrelay.galois import FieldMatrix, mat_rank
+from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, quantize_level, real_embed
 from ccfrelay.pipeline import (
     ChannelInstance,
     SchemeAssignment,
@@ -104,6 +106,28 @@ def test_compress_is_quantize_then_mod():
         assert np.all(got.digits[..., : asg.modulo_level_of(m)] == 0)
 
 
+def test_compress_is_quantize_then_mod_at_every_level_pair():
+    # compress reads only the spec and the relay's two levels, so a
+    # stand-in assignment reaches the pairs ke >= kq that no valid
+    # assignment has; there the result is the zero point
+    rng = np.random.default_rng(3)
+    for gamma, n, kMax, batch in ((2, 5, 3, (4,)), (3, 4, 4, ()), (7, 6, 4, (2, 3))):
+        spec = make_chain_spec(gamma, n, kMax, rng=rng)
+        delta = ChainPoint(spec, rng.integers(0, gamma, size=batch + (kMax,)), rng.integers(-3, 4, size=batch + (n,)))
+        for ke in range(kMax + 1):
+            for kq in range(kMax + 1):
+                asg = SimpleNamespace(spec=spec, modulo_level_of=lambda m, k=ke: k, quantize_level_of=lambda m, k=kq: k)
+                assert compress(delta, 1, asg) == mod_level(quantize_level(delta, kq), ke)
+                if ke >= kq:
+                    assert not np.any(compress(delta, 1, asg).digits)
+
+
+def test_field_image_is_built_once():
+    asg = small_assignment(A=np.array([[4, -1], [0, 1]]))
+    assert asg.field_image is asg.field_image
+    assert asg.field_image == FieldMatrix(np.array([[1, 2], [0, 1]]), 3)
+
+
 def test_mismatched_spec_rejected():
     asg = small_assignment()
     other = make_chain_spec(5, 4, 4)
@@ -112,6 +136,8 @@ def test_mismatched_spec_rejected():
     t_bad = type(t)(other, t.digits, t.ints)
     with pytest.raises(SpecMismatchError):
         relay_combination([t_bad, t], 1, asg)
+    with pytest.raises(SpecMismatchError):
+        compress(t_bad, 1, asg)
 
 
 def test_mmse_alpha_beats_dense_grid():
