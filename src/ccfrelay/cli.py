@@ -9,9 +9,10 @@ runs and platforms regardless of trial ordering.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,37 +118,33 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"L", "gammaOpt", "trials", "seed", "nBrute"}
-_FLOAT_KEYS = {"snrStart", "snrStop", "snrStep", "relayPowerRatio"}
+def _split_schemes(text: str) -> tuple:
+    """Comma-separated scheme names; empty entries are dropped, and an
+    empty list is a configuration error."""
+    schemes = tuple(s.strip() for s in str(text).split(",") if s.strip())
+    if not schemes:
+        raise ConfigError("schemes must be nonempty")
+    return schemes
 
 
-def config_from_mapping(mapping: dict, base: RunConfig = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+# the parser of each RunConfig field, by its annotation
+_PARSERS = {"int": int, "float": float, "tuple": _split_schemes, "str": str}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+
+
+def config_from_mapping(mapping: dict) -> RunConfig:
+    """RunConfig from key -> value pairs, each value raw text or already
+    of its field's type."""
     updates = {}
     for key, value in mapping.items():
-        if key in _INT_KEYS or key in _FLOAT_KEYS:
-            parse = int if key in _INT_KEYS else float
-            try:
-                updates[key] = parse(value)
-            except ValueError:
-                raise ConfigError(f"config key {key!r} must be {parse.__name__}, got {value!r}") from None
-        elif key == "schemes":
-            updates[key] = tuple(s.strip() for s in str(value).split(",") if s.strip())
-        elif key == "outputPath":
-            updates[key] = str(value)
-        else:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
-    return replace(cfg, **updates)
-
-
-def _parse_snr_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError("--snr must have the form A:B:STEP")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise ConfigError("--snr components must be numbers") from None
+        parse = _FIELD_PARSERS[key]
+        try:
+            updates[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} must be {parse.__name__}, got {value!r}") from None
+    return RunConfig(**updates)
 
 
 def draw_channel(rng, L: int, snr_db: float, relay_power_ratio: float) -> ChannelInstance:
@@ -202,9 +199,7 @@ def _channel_from_config(mapping: dict) -> ChannelInstance:
             raise ConfigError(f"unknown channel config key {key!r}")
     try:
         H = np.array([[float(x) for x in row.split()] for row in mapping["H"].split(";")])
-        g = np.array([float(x) for x in mapping["g"].split()])
-        P = np.array([float(x) for x in mapping["P"].split()])
-        P_R = np.array([float(x) for x in mapping["P_R"].split()])
+        g, P, P_R = (np.array([float(x) for x in mapping[key].split()]) for key in ("g", "P", "P_R"))
     except KeyError as exc:
         raise ConfigError(f"channel config missing key {exc}") from None
     except ValueError:
@@ -215,44 +210,35 @@ def _channel_from_config(mapping: dict) -> ChannelInstance:
         raise ConfigError(f"bad channel: {exc}") from None
 
 
-def _cmd_sweep(args) -> int:
-    mapping = parse_config_file(args.config) if args.config else {}
-    config = config_from_mapping(mapping)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.L is not None:
-        overrides["L"] = args.L
-    if args.schemes is not None:
-        overrides["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if args.snr is not None:
-        start, stop, step = _parse_snr_range(args.snr)
-        overrides.update(snrStart=start, snrStop=stop, snrStep=step)
-    if args.out is not None:
-        overrides["outputPath"] = args.out
-    config = replace(config, **overrides)
-    result = run_sweep(config)
-    if config.outputPath:
-        with open(config.outputPath, "w", encoding="utf-8", newline="\n") as fh:
-            emit_csv(result, fh)
+def _write(text: str, path) -> None:
+    """text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
-        emit_csv(result, sys.stdout)
+        sys.stdout.write(text)
+
+
+def _cmd_sweep(args) -> int:
+    # a flag that is set replaces the config file's key of the same setting
+    mapping = parse_config_file(args.config) if args.config else {}
+    flags = {"seed": args.seed, "trials": args.trials, "L": args.L, "schemes": args.schemes, "outputPath": args.out}
+    if args.snr is not None:
+        if args.snr.count(":") != 2:
+            raise ConfigError("--snr must have the form A:B:STEP")
+        flags.update(zip(("snrStart", "snrStop", "snrStep"), args.snr.split(":")))
+    mapping.update((key, value) for key, value in flags.items() if value is not None)
+    config = config_from_mapping(mapping)
+    buf = io.StringIO()
+    emit_csv(run_sweep(config), buf)
+    _write(buf.getvalue(), config.outputPath)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    report = run_verify(args.scope, seed=seed)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    RunConfig(seed=args.seed)  # the sweep's rule for seeds
+    report = run_verify(args.scope, seed=args.seed)
+    _write(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
@@ -261,7 +247,7 @@ def _cmd_optimize(args) -> int:
         raise ConfigError("optimize requires --config with a channel instance")
     mapping = parse_config_file(args.config)
     channel = _channel_from_config(mapping)
-    schemes = tuple(s.strip() for s in args.schemes.split(",")) if args.schemes else SCHEMES
+    schemes = _split_schemes(args.schemes) if args.schemes is not None else SCHEMES
     opt_cfg = OptimizerConfig()
     results = evaluate_all(channel, opt_cfg, schemes)
     payload = {}
@@ -274,32 +260,22 @@ def _cmd_optimize(args) -> int:
             "powers": list(asg.powers) if asg is not None else None,
             "coefficients": asg.A.tolist() if asg is not None else None,
         }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_demo_noisy(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    trials = args.trials if args.trials is not None else 200
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    RunConfig(seed=args.seed, trials=args.trials)  # the sweep's rules for seeds and trials
+    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     asg = random_assignment(rng, gamma=3, n=2, L=2)
     # integer channel equal to the combination coefficients, so decoding
     # error comes from thermal noise alone
     H = asg.A.astype(float)
-    rows = []
+    error_rates = []
     for noise_std in (0.001, 0.003, 0.01, 0.03, 0.1):
         failures = 0
-        for t in range(trials):
-            trial_rng = np.random.default_rng(np.random.SeedSequence((seed, 1, t)))
+        for t in range(args.trials):
+            trial_rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1, t)))
             msgs = [
                 trial_rng.integers(0, 3, size=asg.message_length(l)) for l in (1, 2)
             ]
@@ -312,10 +288,9 @@ def _cmd_demo_noisy(args) -> int:
                     failures += 1
             except DecodeFailure:
                 failures += 1
-        rows.append((noise_std, failures / trials))
-        print(f"noise_std={noise_std!r} error_rate={failures / trials!r}")
-    rates_seq = [r for _, r in rows]
-    print("monotone:", all(a <= b + 1e-12 for a, b in zip(rates_seq, rates_seq[1:])))
+        error_rates.append(failures / args.trials)
+        print(f"noise_std={noise_std!r} error_rate={failures / args.trials!r}")
+    print("monotone:", all(a <= b + 1e-12 for a, b in zip(error_rates, error_rates[1:])))
     return EXIT_OK
 
 
@@ -336,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--L", type=int, help="number of sources and relays")
 
     verify = sub.add_parser("verify", help="run the property suites")
-    verify.add_argument("--seed", type=int, help="base RNG seed")
+    verify.add_argument("--seed", type=int, default=0, help="base RNG seed")
     verify.add_argument("--out", help="JSON report path (default stdout)")
     verify.add_argument("--scope", choices=SCOPES, default="all")
 
@@ -346,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--schemes", help="comma-separated subset of " + ",".join(SCHEMES))
 
     demo = sub.add_parser("demo-noisy", help="noisy relay computation demo")
-    demo.add_argument("--seed", type=int, help="base RNG seed")
-    demo.add_argument("--trials", type=int)
+    demo.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    demo.add_argument("--trials", type=int, default=200)
     return parser
 
 

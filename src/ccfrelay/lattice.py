@@ -88,6 +88,10 @@ class ChainPoint:
             raise ValueError("digit and integer batch shapes differ")
         if np.any(d < 0) or np.any(d >= self.spec.gamma):
             raise ValueError("digits must be canonical representatives in [0, gamma)")
+        # freeze copies of the caller's writeable arrays, never the arrays
+        # themselves; an input that is already read-only is kept
+        d = d.copy() if d is self.digits and d.flags.writeable else d
+        z = z.copy() if z is self.ints and z.flags.writeable else z
         object.__setattr__(self, "digits", d)
         object.__setattr__(self, "ints", z)
         d.setflags(write=False)
@@ -189,7 +193,11 @@ def encode_message(w, lp: LevelPair, spec: ChainSpec) -> ChainPoint:
     shape = w.shape[:-1]
     digits = np.zeros(shape + (spec.kMax,), dtype=np.int64)
     digits[..., lp.kShaping : lp.kCoding] = w
-    return ChainPoint(spec, digits, np.zeros(shape + (spec.n,), dtype=np.int64))
+    ints = np.zeros(shape + (spec.n,), dtype=np.int64)
+    # frozen here, so that ChainPoint keeps these fresh arrays uncopied
+    digits.setflags(write=False)
+    ints.setflags(write=False)
+    return ChainPoint(spec, digits, ints)
 
 
 def decode_codeword(t: ChainPoint, lp: LevelPair) -> np.ndarray:

@@ -4,8 +4,8 @@ Covers exact recovery over the whole configuration matrix, constructor
 feasibility at volume, analytic optimality of the MMSE scaling, rate
 conservation, the lattice reduction contract, per-instance scheme
 dominance, and the Monte Carlo sum-rate curves with their expected dB
-separations.  The sweep-based tests are slow (minutes); everything here
-is deterministic given the fixed seeds.
+separations.  The sweep-based tests are slow (minutes) and marked
+``slow``; everything here is deterministic given the fixed seeds.
 """
 
 import itertools
@@ -206,6 +206,7 @@ def sweep_l2():
     return run_sweep(cfg)
 
 
+@pytest.mark.slow
 def test_sweep_L2_curve_ordering(sweep_l2):
     tol = 1e-9
     m = sweep_l2.meanSumRate
@@ -224,6 +225,7 @@ def _mid_range_target(result, schemes):
     return 0.5 * (lo + hi)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "baseline,improved,expected_db",
     [
@@ -262,10 +264,12 @@ def _layered_gain(result):
     return _snr_at_rate(result, "scf", target) - _snr_at_rate(result, "scf-q", target)
 
 
+@pytest.mark.slow
 def test_sweep_layered_gain_grows_with_network_size(sweep_scaling):
     assert _layered_gain(sweep_scaling[4]) > _layered_gain(sweep_scaling[2])
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("L,expected_db", [(2, 2.0), (4, 6.0)])
 def test_sweep_layered_gain_magnitude(sweep_scaling, L, expected_db):
     assert _layered_gain(sweep_scaling[L]) == pytest.approx(expected_db, abs=2.0)

@@ -209,6 +209,35 @@ def test_out_of_range_seed_or_trials_is_a_config_error(argv, message, tmp_path, 
     assert captured.err == f"config error: {message}\n"
 
 
+def test_flag_replaces_the_config_file_key(tmp_path):
+    # the flag's value is the one validated: the file's trials = 0 never is
+    path = tmp_path / "run.cfg"
+    path.write_text("trials = 0\nschemes = acf\nL = 1\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(path), "--trials", "2", "--schemes", "scf", "--snr", "0:4:4", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    rows = out.read_text(encoding="utf-8").strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["scf", "scf"]
+    assert all(row.endswith(",2,0") for row in rows)
+    assert main(["sweep", "--config", str(path), "--snr", "0:4:4"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_schemes_flag_follows_one_rule(command, tmp_path, capsys):
+    # empty entries are dropped, and an empty list is a configuration error
+    chan = tmp_path / "chan.cfg"
+    chan.write_text("H = 1 0; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 1\n", encoding="utf-8")
+    base = {
+        "sweep": ["sweep", "--trials", "1", "--L", "1", "--snr", "0:0:1"],
+        "optimize": ["optimize", "--config", str(chan)],
+    }[command]
+    assert main(base + ["--schemes", "scf,"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    for schemes in ("", " , "):
+        assert main(base + ["--schemes", schemes]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: schemes must be nonempty\n"
+
+
 def test_main_exit_code_numeric_error(capsys):
     # at 150 dB the L = 2 reduction loses its precision on some draw: the
     # sweep stops with a named error that says where, not a traceback

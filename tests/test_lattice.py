@@ -86,6 +86,21 @@ def test_point_and_message_reject_values_the_int64_cast_would_change():
     assert encode_message([1.0, 2.0], lp, spec) == encode_message(np.array([1, 2]), lp, spec)
 
 
+def test_point_leaves_the_callers_arrays_writeable():
+    spec = make_chain_spec(3, 4, 4)
+    d = np.zeros(4, dtype=np.int64)
+    buf = np.zeros((2, 4), dtype=np.int64)
+    z = buf[1]
+    x = ChainPoint(spec, d, z)
+    d[0] = 1
+    z[0] = 5
+    assert d.flags.writeable and buf.flags.writeable
+    assert x == ChainPoint(spec, np.zeros(4), np.zeros(4))
+    assert not x.digits.flags.writeable and not x.ints.flags.writeable
+    # an input that is already read-only is kept, not copied
+    assert ChainPoint(spec, x.digits, x.ints).digits is x.digits
+
+
 def test_code_word_matches_the_full_generator_product():
     # parity rows below the identity block; digits need not be canonical
     rng = np.random.default_rng(11)
