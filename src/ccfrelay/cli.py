@@ -104,8 +104,10 @@ class SweepResult:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; values keep raw text."""
+    """Flat key = value lines; '#' starts a comment; values keep raw text.
+    A key set twice is a configuration error."""
     out = {}
+    key_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -113,17 +115,23 @@ def parse_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in key_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {key_line[key]}")
+            key_line[key] = lineno
+            out[key] = value
     return out
 
 
 def _split_schemes(text: str) -> tuple:
     """Comma-separated scheme names; empty entries are dropped, and an
-    empty list is a configuration error."""
+    empty list or a name listed twice is a configuration error."""
     schemes = tuple(s.strip() for s in str(text).split(",") if s.strip())
     if not schemes:
         raise ConfigError("schemes must be nonempty")
+    for i, s in enumerate(schemes):
+        if s in schemes[:i]:
+            raise ConfigError(f"scheme {s!r} listed twice")
     return schemes
 
 

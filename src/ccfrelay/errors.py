@@ -13,10 +13,6 @@ class NotFullRankError(CCFError):
     """An operation required a full-rank matrix over F_gamma."""
 
 
-class IndexOutOfRangeError(CCFError):
-    """An index set referenced a row/column outside the matrix."""
-
-
 class SpecMismatchError(CCFError):
     """Two lattice points belong to different chain specifications."""
 

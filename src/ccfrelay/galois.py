@@ -7,11 +7,11 @@ of two representatives never overflow int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotFullRankError, SingularMatrixError
+from .errors import NotFullRankError, SingularMatrixError
 
 _GAMMA_LIMIT = 1 << 31
 
@@ -74,24 +74,6 @@ class FieldMatrix:
         return self.modulus == other.modulus and np.array_equal(self.entries, other.entries)
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """Paired ordered source/relay index sets, 1-based, no duplicates."""
-
-    sourceSet: tuple = field(default=())
-    relaySet: tuple = field(default=())
-
-    def __post_init__(self):
-        src = tuple(int(i) for i in self.sourceSet)
-        rel = tuple(int(i) for i in self.relaySet)
-        if len(set(src)) != len(src) or len(set(rel)) != len(rel):
-            raise ValueError("index sets must not contain duplicates")
-        if len(src) != len(rel):
-            raise ValueError("source and relay sets must have equal cardinality")
-        object.__setattr__(self, "sourceSet", src)
-        object.__setattr__(self, "relaySet", rel)
-
-
 def _eliminate(rows: list, gamma: int) -> list:
     """Row-reduce a list of rows of Python ints in place; return the pivot
     column list.  The matrices here are at most L x 2L, where a row of
@@ -137,24 +119,19 @@ def mat_inverse(M: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(np.array([row[n:] for row in work], dtype=np.int64).reshape(n, n), M.modulus)
 
 
-def residual_submatrix(Q: FieldMatrix, sources, relays) -> FieldMatrix:
-    """Square submatrix of Q: rows picked by relay indices, columns by sources.
+def residual_sets(pi_src, pi_rel, t, kind: str):
+    """Boolean masks (sources, relays) of the residual system at recovery
+    iteration t: the indices whose label is <= t for quantization ("d",
+    labels pi_c and pi_d) or >= t for modulo ("e", labels pi_s and pi_e).
+    Broadcasts over array labels and t."""
+    inside = np.less_equal if kind == "d" else np.greater_equal
+    return inside(pi_src, t), inside(pi_rel, t)
 
-    Both index lists are 1-based and are applied in ascending order.
-    """
-    src = sorted(int(i) for i in sources)
-    rel = sorted(int(i) for i in relays)
-    if len(src) != len(rel):
-        raise IndexOutOfRangeError("index sets must have equal cardinality")
-    for i in src:
-        if not 1 <= i <= Q.cols:
-            raise IndexOutOfRangeError(f"source index {i} outside [1, {Q.cols}]")
-    for i in rel:
-        if not 1 <= i <= Q.rows:
-            raise IndexOutOfRangeError(f"relay index {i} outside [1, {Q.rows}]")
-    rows = np.asarray(rel, dtype=np.intp) - 1
-    cols = np.asarray(src, dtype=np.intp) - 1
-    return FieldMatrix(Q.entries[np.ix_(rows, cols)], Q.modulus)
+
+def residual_submatrix(Q: FieldMatrix, sources, relays) -> FieldMatrix:
+    """Submatrix of Q: rows picked by the relay mask, columns by the source
+    mask, both in ascending index order."""
+    return FieldMatrix(Q.entries[np.ix_(relays, sources)], Q.modulus)
 
 
 def perm_inverse(perm) -> tuple:
@@ -248,17 +225,3 @@ def feasible_pi_e(Q: FieldMatrix, pi_s) -> tuple:
     column_order = [pi_s_inv[i - 1] for i in range(1, L)]
     labels = list(range(1, L)) + [L]
     return _greedy_row_deletion(Q, column_order, labels)
-
-
-def srq_index_sets(pi_c, pi_d, j: int) -> IndexSets:
-    """Residual sets at quantization iteration j: indices with label <= j."""
-    src = tuple(l for l in range(1, len(pi_c) + 1) if pi_c[l - 1] <= j)
-    rel = tuple(m for m in range(1, len(pi_d) + 1) if pi_d[m - 1] <= j)
-    return IndexSets(src, rel)
-
-
-def srm_index_sets(pi_s, pi_e, i: int) -> IndexSets:
-    """Residual sets at modulo iteration i: indices with label >= i."""
-    src = tuple(l for l in range(1, len(pi_s) + 1) if pi_s[l - 1] >= i)
-    rel = tuple(m for m in range(1, len(pi_e) + 1) if pi_e[m - 1] >= i)
-    return IndexSets(src, rel)

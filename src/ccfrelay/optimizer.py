@@ -37,9 +37,8 @@ from .galois import (
     _check_prime,
     mat_rank,
     nonsingular_minors,
+    residual_sets,
     residual_submatrix,
-    srm_index_sets,
-    srq_index_sets,
 )
 from .lattice import make_chain_spec
 from .pipeline import ChannelInstance, SchemeAssignment
@@ -353,20 +352,14 @@ def select_coefficients(H, p, gamma: int) -> np.ndarray:
 
 
 def pi_d_is_feasible(Q: FieldMatrix, pi_c, pi_d) -> bool:
-    for j in range(1, Q.rows + 1):
-        sets = srq_index_sets(pi_c, pi_d, j)
-        if mat_rank(residual_submatrix(Q, sets.sourceSet, sets.relaySet)) < j:
-            return False
-    return True
+    return all(mat_rank(residual_submatrix(Q, *residual_sets(pi_c, pi_d, j, "d"))) == j for j in range(1, Q.rows + 1))
 
 
 def pi_e_is_feasible(Q: FieldMatrix, pi_s, pi_e) -> bool:
     L = Q.rows
-    for i in range(1, L + 1):
-        sets = srm_index_sets(pi_s, pi_e, i)
-        if mat_rank(residual_submatrix(Q, sets.sourceSet, sets.relaySet)) < L - i + 1:
-            return False
-    return True
+    return all(
+        mat_rank(residual_submatrix(Q, *residual_sets(pi_s, pi_e, i, "e"))) == L - i + 1 for i in range(1, L + 1)
+    )
 
 
 def _group_rows(keys):
@@ -382,13 +375,13 @@ def _group_rows(keys):
     return order[new], inverse
 
 
-def _level_masks(labels, kind: str) -> np.ndarray:
-    """Bit masks (X, L) of the residual index sets of recovery iterations
-    t = 1..L for each labelling (X, L): labels <= t for quantization
-    ("d"), labels >= t for modulo ("e"), as srq/srm_index_sets."""
-    t = np.arange(1, labels.shape[1] + 1)[:, None]
-    inside = labels[:, None, :] <= t if kind == "d" else labels[:, None, :] >= t
-    return np.sum(inside << np.arange(labels.shape[1]), axis=2)
+def _level_masks(pi_src, pi_rel, kind: str) -> tuple:
+    """Bit masks (X, L) of the residual sources and relays of recovery
+    iterations t = 1..L for each source labelling pi_src (X, L) and each
+    relay labelling pi_rel (X', L), by residual_sets."""
+    L = pi_src.shape[1]
+    sets = residual_sets(pi_src[:, None, :], pi_rel[:, None, :], np.arange(1, L + 1)[:, None], kind)
+    return tuple(np.sum(mask << np.arange(L), axis=2) for mask in sets)
 
 
 def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
@@ -397,8 +390,7 @@ def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
     rank conditions of pi_d_is_feasible / pi_e_is_feasible, read off the
     nonsingular minors of A."""
     nonsingular = nonsingular_minors(A, gamma)
-    relays = _level_masks(perms, kind)
-    sources = _level_masks(pi, kind)
+    sources, relays = _level_masks(pi, perms, kind)
     return _fold(np.logical_and, nonsingular[np.arange(len(A))[:, None, None], relays[None], sources[:, None]], 2)
 
 

@@ -144,7 +144,8 @@ def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion,
     limiting = tuple(
         COMPUTATION_LIMITED if r_comp[l] <= bounds[l] else FORWARDING_LIMITED for l in range(L)
     )
-    R = forwarding_rates(asg, r, variant)
+    # R <= caps exactly; the clamp drops the rounding of r + offset - offset
+    R = np.minimum(forwarding_rates(asg, r, variant), caps)
     return RateReport(
         sourceRates=tuple(r),
         forwardingRates=tuple(R),

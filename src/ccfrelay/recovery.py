@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMatrixError, SingularResidualError, SpecMismatchError
-from .galois import mat_inverse, residual_submatrix, srm_index_sets, srq_index_sets
+from .galois import mat_inverse, residual_sets, residual_submatrix
 from .lattice import _point
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
 from .pipeline import SchemeAssignment
@@ -78,14 +78,14 @@ def _cancel(V, A, T, gamma: int, quant, fold) -> np.ndarray:
     return np.mod(V - C, gamma) * ~_below(fold, V.shape)
 
 
-def _solve_layer(asg: SchemeAssignment, sets, V, band, phase: str, iteration: int) -> np.ndarray:
+def _solve_layer(asg: SchemeAssignment, sources, relays, V, band, phase: str, iteration: int) -> np.ndarray:
     """Digits of the residual sources in one digit band: the inverse of the
     residual matrix times the residual relays' digits."""
     try:
-        inv = mat_inverse(residual_submatrix(asg.field_image, sets.sourceSet, sets.relaySet))
+        inv = mat_inverse(residual_submatrix(asg.field_image, sources, relays))
     except SingularMatrixError:
         raise SingularResidualError(phase, iteration) from None
-    U = V[np.subtract(sets.relaySet, 1), ..., band]
+    U = V[relays, ..., band]
     return _times(inv.entries, U) % asg.spec.gamma
 
 
@@ -109,8 +109,8 @@ def srq(v, asg: SchemeAssignment, common_shaping_level: int):
     for j in range(1, L + 1):
         V = _cancel(V0, asg.A, T, asg.spec.gamma, quant, [common_shaping_level] * L)
         band = np.s_[coding[j] if j < L else common_shaping_level : coding[j - 1]]
-        sets = srq_index_sets(asg.pi_c, asg.pi_d, j)
-        T[np.subtract(sets.sourceSet, 1), ..., band] = _solve_layer(asg, sets, V, band, "quantization", j)
+        sources, relays = residual_sets(asg.pi_c, asg.pi_d, j, "d")
+        T[sources, ..., band] = _solve_layer(asg, sources, relays, V, band, "quantization", j)
     return _points(asg.spec, T)
 
 
@@ -134,10 +134,10 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     T = np.zeros_like(V)
     for i in range(1, L + 1):
         k_i = asg.shapingLevels[i - 1]
-        sets = srm_index_sets(asg.pi_s, asg.pi_e, i)
-        W = _solve_layer(asg, sets, V, np.s_[k_i:fine_level], "modulo", i)
+        sources, relays = residual_sets(asg.pi_s, asg.pi_e, i, "e")
+        W = _solve_layer(asg, sources, relays, V, np.s_[k_i:fine_level], "modulo", i)
         l_star = asg.pi_s.index(i) + 1
-        T[l_star - 1, ..., k_i:fine_level] = W[sets.sourceSet.index(l_star)]
+        T[l_star - 1, ..., k_i:fine_level] = W[np.count_nonzero(sources[: l_star - 1])]
         if i < L:
             # t - Q_{k_i}(t - d); relays that leave the residual sets here
             # are never read again

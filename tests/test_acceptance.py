@@ -21,9 +21,8 @@ from ccfrelay.galois import (
     feasible_pi_d,
     feasible_pi_e,
     mat_rank,
+    residual_sets,
     residual_submatrix,
-    srm_index_sets,
-    srq_index_sets,
 )
 from ccfrelay.lattice import mod_level
 from ccfrelay.optimizer import (
@@ -103,11 +102,9 @@ def test_greedy_constructors_always_feasible():
             pi_d = feasible_pi_d(Q, pi_c)
             pi_e = feasible_pi_e(Q, pi_s)
             for j in range(1, L + 1):
-                s = srq_index_sets(pi_c, pi_d, j)
-                assert mat_rank(residual_submatrix(Q, s.sourceSet, s.relaySet)) == j
+                assert mat_rank(residual_submatrix(Q, *residual_sets(pi_c, pi_d, j, "d"))) == j
             for i in range(1, L + 1):
-                s = srm_index_sets(pi_s, pi_e, i)
-                assert mat_rank(residual_submatrix(Q, s.sourceSet, s.relaySet)) == L - i + 1
+                assert mat_rank(residual_submatrix(Q, *residual_sets(pi_s, pi_e, i, "e"))) == L - i + 1
 
 
 # ----------------------------------------------------------- mmse scaling

@@ -238,6 +238,34 @@ def test_schemes_flag_follows_one_rule(command, tmp_path, capsys):
         assert capsys.readouterr().err == "config error: schemes must be nonempty\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "sweep-config", "optimize"])
+def test_repeated_scheme_is_a_config_error(command, tmp_path, capsys):
+    # a scheme listed twice would be computed and printed twice
+    chan = tmp_path / "chan.cfg"
+    chan.write_text("H = 1 0; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 1\n", encoding="utf-8")
+    run = tmp_path / "run.cfg"
+    run.write_text("schemes = scf, acf, scf\n", encoding="utf-8")
+    argv = {
+        "sweep": ["sweep", "--trials", "1", "--L", "1", "--snr", "0:0:1", "--schemes", "scf,acf,scf"],
+        "sweep-config": ["sweep", "--trials", "1", "--L", "1", "--snr", "0:0:1", "--config", str(run)],
+        "optimize": ["optimize", "--config", str(chan), "--schemes", "scf,acf,scf"],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: scheme 'scf' listed twice\n"
+
+
+def test_repeated_config_key_is_a_config_error(tmp_path, capsys):
+    # the first value would otherwise be dropped without a word
+    path = tmp_path / "run.cfg"
+    path.write_text("trials = 3\n# comment\nL = 1\ntrials = 0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="run.cfg:4: key 'trials' already set on line 1"):
+        parse_config_file(str(path))
+    assert main(["sweep", "--config", str(path), "--snr", "0:0:1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {path}:4: key 'trials' already set on line 1\n"
+
+
 def test_main_exit_code_numeric_error(capsys):
     # at 150 dB the L = 2 reduction loses its precision on some draw: the
     # sweep stops with a named error that says where, not a traceback

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfrelay.errors import IndexOutOfRangeError, NotFullRankError, SingularMatrixError
+from ccfrelay.errors import NotFullRankError, SingularMatrixError
 from ccfrelay.galois import (
     FieldMatrix,
     feasible_pi_d,
@@ -14,9 +14,8 @@ from ccfrelay.galois import (
     mat_inverse,
     mat_rank,
     perm_inverse,
+    residual_sets,
     residual_submatrix,
-    srm_index_sets,
-    srq_index_sets,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -139,13 +138,9 @@ def test_matrix_rejects_non_integer_entries():
 
 def test_residual_submatrix_indexing():
     M = FieldMatrix(np.arange(9).reshape(3, 3), 11)
-    sub = residual_submatrix(M, sources=(1, 3), relays=(2, 3))
-    # rows pick relays, columns pick sources, both ascending and 1-based
+    sub = residual_submatrix(M, sources=np.array([True, False, True]), relays=np.array([False, True, True]))
+    # rows pick relays, columns pick sources, both ascending
     assert np.array_equal(sub.entries, np.array([[3, 5], [6, 8]]))
-    with pytest.raises(IndexOutOfRangeError):
-        residual_submatrix(M, sources=(0,), relays=(1,))
-    with pytest.raises(IndexOutOfRangeError):
-        residual_submatrix(M, sources=(1,), relays=(4,))
 
 
 def test_permutation_helpers():
@@ -155,35 +150,30 @@ def test_permutation_helpers():
 
 
 def test_index_sets_definition():
-    pi_c = (2, 1, 3)
-    pi_d = (3, 1, 2)
-    s = srq_index_sets(pi_c, pi_d, 2)
-    assert s.sourceSet == (1, 2)
-    assert s.relaySet == (2, 3)
-    pi_s = (1, 3, 2)
-    pi_e = (2, 1, 3)
-    s = srm_index_sets(pi_s, pi_e, 2)
-    assert s.sourceSet == (2, 3)
-    assert s.relaySet == (1, 3)
+    sources, relays = residual_sets((2, 1, 3), (3, 1, 2), 2, "d")
+    assert sources.tolist() == [True, True, False]
+    assert relays.tolist() == [False, True, True]
+    sources, relays = residual_sets((1, 3, 2), (2, 1, 3), 2, "e")
+    assert sources.tolist() == [False, True, True]
+    assert relays.tolist() == [True, False, True]
+    # iteration t of quantization takes the indices labelled <= t, of
+    # modulo those labelled >= t, for every labelling
+    for L in range(1, 5):
+        perms = list(itertools.permutations(range(1, L + 1)))
+        for pi_src, pi_rel, t in itertools.product(perms, perms, range(1, L + 1)):
+            for kind, inside in (("d", lambda label: label <= t), ("e", lambda label: label >= t)):
+                sources, relays = residual_sets(pi_src, pi_rel, t, kind)
+                assert set(np.flatnonzero(sources) + 1) == {l for l in range(1, L + 1) if inside(pi_src[l - 1])}
+                assert set(np.flatnonzero(relays) + 1) == {m for m in range(1, L + 1) if inside(pi_rel[m - 1])}
 
 
 def brute_feasible_pi_d(Q, pi_c):
     L = Q.rows
     for pd in itertools.permutations(range(1, L + 1)):
         if all(
-            mat_rank(residual_submatrix(Q, *_sets_q(pi_c, pd, j))) == j for j in range(1, L + 1)
+            mat_rank(residual_submatrix(Q, *residual_sets(pi_c, pd, j, "d"))) == j for j in range(1, L + 1)
         ):
             yield pd
-
-
-def _sets_q(pi_c, pi_d, j):
-    s = srq_index_sets(pi_c, pi_d, j)
-    return s.sourceSet, s.relaySet
-
-
-def _sets_m(pi_s, pi_e, i):
-    s = srm_index_sets(pi_s, pi_e, i)
-    return s.sourceSet, s.relaySet
 
 
 def test_greedy_constructors_produce_feasible_permutations():
@@ -201,9 +191,9 @@ def test_greedy_constructors_produce_feasible_permutations():
         pe = feasible_pi_e(Q, pi_s)
         assert is_permutation(pd, L) and is_permutation(pe, L)
         for j in range(1, L + 1):
-            assert mat_rank(residual_submatrix(Q, *_sets_q(pi_c, pd, j))) == j
+            assert mat_rank(residual_submatrix(Q, *residual_sets(pi_c, pd, j, "d"))) == j
         for i in range(1, L + 1):
-            assert mat_rank(residual_submatrix(Q, *_sets_m(pi_s, pe, i))) == L - i + 1
+            assert mat_rank(residual_submatrix(Q, *residual_sets(pi_s, pe, i, "e"))) == L - i + 1
 
 
 def test_greedy_pi_d_is_in_brute_force_feasible_set():
@@ -227,18 +217,19 @@ def rank_greedy(Q, column_order, labels):
     L = Q.rows
     if mat_rank(Q) < L:
         raise NotFullRankError("coefficient matrix is singular over F_gamma")
-    active_rel = list(range(1, L + 1))
-    active_src = list(range(1, L + 1))
+    active_rel = np.ones(L, dtype=bool)
+    active_src = np.ones(L, dtype=bool)
     assignment = [0] * L
     for col, label in zip(column_order, labels[:-1]):
-        active_src.remove(col)
-        for cand in active_rel:
-            trial = [m for m in active_rel if m != cand]
-            if mat_rank(residual_submatrix(Q, active_src, trial)) == len(active_src):
+        active_src[col - 1] = False
+        for cand in np.flatnonzero(active_rel):
+            trial = active_rel.copy()
+            trial[cand] = False
+            if mat_rank(residual_submatrix(Q, active_src, trial)) == np.count_nonzero(active_src):
                 break
-        assignment[cand - 1] = label
-        active_rel.remove(cand)
-    assignment[active_rel[0] - 1] = labels[-1]
+        assignment[cand] = label
+        active_rel[cand] = False
+    assignment[np.flatnonzero(active_rel)[0]] = labels[-1]
     return tuple(assignment)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ccfrelay import optimizer
 from ccfrelay.errors import ConfigError, NotFullRankError, ReductionError
-from ccfrelay.galois import FieldMatrix, mat_rank, residual_submatrix, srm_index_sets, srq_index_sets
+from ccfrelay.galois import FieldMatrix, mat_rank, residual_sets, residual_submatrix
 from ccfrelay.optimizer import (
     _COMMON_POWER,
     _LLL_DELTA,
@@ -19,6 +19,7 @@ from ccfrelay.optimizer import (
     _Grid,
     _grid_rows,
     _lagrange2,
+    _level_masks,
     _lll_batched,
     _metric2,
     _power_grid,
@@ -228,20 +229,9 @@ def brute_feasible_pairs(Q):
     for pd in itertools.permutations(range(1, L + 1)):
         for pe in itertools.permutations(range(1, L + 1)):
             ok = all(
-                mat_rank(
-                    residual_submatrix(
-                        Q, srq_index_sets(pi_c, pd, j).sourceSet, srq_index_sets(pi_c, pd, j).relaySet
-                    )
-                )
-                == j
-                for j in range(1, L + 1)
+                mat_rank(residual_submatrix(Q, *residual_sets(pi_c, pd, j, "d"))) == j for j in range(1, L + 1)
             ) and all(
-                mat_rank(
-                    residual_submatrix(
-                        Q, srm_index_sets(pi_s, pe, i).sourceSet, srm_index_sets(pi_s, pe, i).relaySet
-                    )
-                )
-                == L - i + 1
+                mat_rank(residual_submatrix(Q, *residual_sets(pi_s, pe, i, "e"))) == L - i + 1
                 for i in range(1, L + 1)
             )
             if ok:
@@ -296,6 +286,24 @@ def test_minor_feasibility_matches_rank_checks():
                 for i, perm in enumerate(perms.tolist()):
                     assert feas_d[k, i] == pi_d_is_feasible(Q, key, tuple(perm))
                     assert feas_e[k, i] == pi_e_is_feasible(Q, key, tuple(perm))
+
+
+def test_level_masks_pack_the_residual_sets():
+    # bit l-1 of the mask of iteration t is set when index l is in the
+    # residual system of t
+    for L in (1, 2, 3, 4):
+        perms = np.array(list(itertools.permutations(range(1, L + 1))))
+        pi_src, pi_rel = perms, perms[::-1][: len(perms) // 2 + 1]
+        for kind in "de":
+            sources, relays = _level_masks(pi_src, pi_rel, kind)
+            assert sources.shape == (len(pi_src), L) and relays.shape == (len(pi_rel), L)
+            for t in range(1, L + 1):
+                for x in range(len(pi_src)):
+                    mask = residual_sets(tuple(pi_src[x]), pi_rel[0], t, kind)[0]
+                    assert sources[x, t - 1] == sum(1 << l for l in np.flatnonzero(mask))
+                for x in range(len(pi_rel)):
+                    mask = residual_sets(pi_src[0], tuple(pi_rel[x]), t, kind)[1]
+                    assert relays[x, t - 1] == sum(1 << m for m in np.flatnonzero(mask))
 
 
 def test_power_grid_shape():

@@ -158,6 +158,16 @@ def test_max_rates_forwarding_rates_within_caps():
         assert np.all(forwarding_rates(asg, np.array(report.sourceRates), variant) <= caps)
 
 
+def test_reported_forwarding_rates_within_caps():
+    # the report's own forwarding rates never exceed the caps, though
+    # recomputing them from its source rates may round above (the xfail
+    # above); elsewhere they are the recomputed rates
+    for asg, _, caps, variant, report in near_integer_reports(np.random.default_rng(4)):
+        R = forwarding_rates(asg, np.array(report.sourceRates), variant)
+        assert np.all(np.array(report.forwardingRates) <= caps)
+        assert np.array_equal(report.forwardingRates, np.minimum(R, caps))
+
+
 def test_limiting_tags():
     rng = np.random.default_rng(5)
     asg, H = draw_case(rng, L=2)
