@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DecodeFailure, ReductionError
-from .optimizer import SCHEMES, OptimizerConfig, evaluate_all
+from .optimizer import SCHEMES, OptimizerConfig, check_schemes, evaluate_all
 from .pipeline import ChannelInstance, compress, noisy_compute_demo, relay_combination, source_encode
 from .verify import SCOPES, random_assignment, run_verify
 
@@ -65,14 +65,11 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if not self.schemes:
             raise ConfigError("schemes must be nonempty")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}")
+        object.__setattr__(self, "schemes", check_schemes(self.schemes))
         if self.L < 1:
             raise ConfigError("L must be >= 1")
         if self.relayPowerRatio < 0:
             raise ConfigError("relayPowerRatio must be >= 0")
-        object.__setattr__(self, "schemes", tuple(self.schemes))
 
     @property
     def snrPoints(self) -> np.ndarray:
@@ -123,15 +120,16 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _split_schemes(text: str) -> tuple:
-    """Comma-separated scheme names; empty entries are dropped, and an
-    empty list or a name listed twice is a configuration error."""
-    schemes = tuple(s.strip() for s in str(text).split(",") if s.strip())
+def _split_schemes(value) -> tuple:
+    """Scheme names, from comma-separated text (empty entries are dropped)
+    or from a tuple or list of the names; an empty list is a configuration
+    error, and RunConfig and evaluate_all check the names."""
+    if isinstance(value, (tuple, list)):
+        schemes = tuple(value)
+    else:
+        schemes = tuple(s.strip() for s in str(value).split(",") if s.strip())
     if not schemes:
         raise ConfigError("schemes must be nonempty")
-    for i, s in enumerate(schemes):
-        if s in schemes[:i]:
-            raise ConfigError(f"scheme {s!r} listed twice")
     return schemes
 
 

@@ -12,14 +12,16 @@ restrict the search space:
 - acf-m:  acf plus a searched modulo permutation
 - acf-mq: acf plus searched quantization and modulo permutations
 
-One evaluator, ``_Grid``, runs the search at every size over the whole
-power grid at once, in blocks of grid rows: coefficient selection, rates,
+One evaluator, ``_Grid``, runs the search of a channel draw at every size
+over the stacked power grids of all requested schemes (common power and
+per-source), in blocks of grid rows: coefficient selection, rates,
 permutation feasibility (computed once per distinct coefficient matrix
-and ordering) and the variant bounds.  Only coefficient selection depends
-on L.  L = 2 runs sort-free on (N,) columns: the exact two-dimensional
-(Gauss) reduction, then a masked lexicographic minimum over four candidate
-rows per relay.  Other sizes take a masked batched LLL and a rank-greedy
-selection over F_gamma.
+and ordering) and the variant bounds, whose forwarding log-ratios are
+computed once per row for every variant.  Only coefficient selection
+depends on L.  L = 2 runs sort-free on (N,) columns: the exact
+two-dimensional (Gauss) reduction, then a masked lexicographic minimum
+over four candidate rows per relay.  Other sizes take a masked batched
+LLL and a rank-greedy selection over F_gamma.
 """
 
 from __future__ import annotations
@@ -435,8 +437,8 @@ def _argbest(vals, r):
 
 
 class _Grid:
-    """Batched evaluation context of one channel draw and one power grid,
-    for any L.
+    """Batched evaluation context of one channel draw over the stacked rows
+    of its power grids, for any L.
 
     Coefficient selection, rates, feasibility and bounds run in blocks
     sized to ``_BLOCK_ELEMS``.  Permutation feasibility is computed once per
@@ -457,7 +459,6 @@ class _Grid:
         self.mask = self.A != 0
         self.pi_s = _rank_perms(self.p)
         self.pi_c = _rank_perms(_coding_key(self.p, self.r_comp))
-        self.p_sorted = np.sort(self.p, axis=1, kind="stable")
         self.perms = np.array(list(itertools.permutations(range(1, self.L + 1))))
         # perm_inv0[k, j] is the 0-based position holding label j + 1 in perms[k]
         self.perm_inv0 = np.argsort(self.perms, axis=1)
@@ -470,6 +471,15 @@ class _Grid:
     def _perm_index(self, x):
         """Index in perms of every permutation row of x (N, L)."""
         return np.searchsorted(self.codes, (x - 1) @ self.radix)
+
+    @functools.cached_property
+    def _half_log_ratios(self):
+        """(N, L, L) table of 0.5 * log2(p_sorted[n, i] / p[n, l]), with
+        p_sorted each row's powers in ascending order: the forwarding offset
+        of source l under the modulo lattice of the (i + 1)-th smallest
+        power, shared by every variant's bounds."""
+        p_sorted = np.sort(self.p, axis=1, kind="stable")
+        return 0.5 * np.log2(p_sorted[:, :, None] / self.p[:, None, :])
 
     @functools.cached_property
     def _a_groups(self):
@@ -509,14 +519,13 @@ class _Grid:
         """Yield (kd, bounds) for a block of rows: the forwarding bounds
         (rows, pi_e choices, L), and the index (rows,) of the pi_d of each
         row they hold at (None when pi_d is not searched)."""
-        p = self.p[blk]
         caps = self.caps
-        # pe_pow[n, e, m]: power of the source shaping-ranked pi_e(m); the
-        # symmetric modulo lattice is the coarsest one, of the largest power
-        ps = self.p_sorted[blk]
-        pe_pow = ps[:, None, -1:] if variant == "symmetric" else ps[:, self.perms - 1]
+        # hl[n, i, l]: offset of source l under the modulo lattice of the
+        # (i + 1)-th smallest power; relay m's lattice is that of rank
+        # pi_e(m), and the symmetric one is the coarsest, of the largest
+        hl = self._half_log_ratios[blk]
         if variant in ("srm", "symmetric"):
-            off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
+            off = hl[:, None, -1:, :] if variant == "symmetric" else hl[:, self.perms - 1, :]
             limits = np.where(self.mask[blk][:, None], caps[None, None, :, None] - off, np.inf)
             yield None, _fold(np.minimum, limits, 2)
             return
@@ -528,10 +537,11 @@ class _Grid:
             if variant == "srq":
                 yield kd, caps[sigma][None, None, :]
             else:
-                yield kd, caps[sigma] - 0.5 * np.log2(pe_pow[:, :, sigma] / p[:, None, :])
+                yield kd, caps[sigma] - hl[:, self.perms[:, sigma] - 1, np.arange(self.L)]
 
-    def evaluate(self, variant):
-        """Best (value, row, meta) over rows and feasible (pi_d, pi_e).
+    def evaluate(self, variant, rows=slice(None)):
+        """Best (value, row, meta) over the grid rows of the slice ``rows``
+        and feasible (pi_d, pi_e); ``row`` indexes the whole grid.
 
         Ties go to the lexicographically largest rate tuple, then to the
         first candidate in (row, pi_d, pi_e) order."""
@@ -540,8 +550,9 @@ class _Grid:
         feas_d = self._feasibility("d") if variant in ("srq", "srmq") else None
         feas_e = self._feasibility("e") if variant in ("srm", "srmq") else None
         best = None
-        for start in range(0, len(self.p), self.block):
-            blk = slice(start, start + self.block)
+        first, stop, _ = rows.indices(len(self.p))
+        for start in range(first, stop, self.block):
+            blk = slice(start, min(start + self.block, stop))
             rows_d = None if feas_d is None else feas_d[0][feas_d[1][blk]]
             rows_e = None if feas_e is None else feas_e[0][feas_e[1][blk]]
             for kd, bounds in self._bounds(variant, blk):
@@ -618,27 +629,42 @@ def _grid_rows(budgets, common: bool, config: OptimizerConfig) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def check_schemes(schemes) -> tuple:
+    """The scheme names as a tuple; a name that is unknown or listed twice
+    is a configuration error."""
+    schemes = tuple(schemes)
+    for i, s in enumerate(schemes):
+        if s not in SCHEMES:
+            raise ConfigError(f"unknown scheme {s!r}")
+        if s in schemes[:i]:
+            raise ConfigError(f"scheme {s!r} listed twice")
+    return schemes
+
+
 def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHEMES):
     """Evaluate the requested schemes on one channel draw.
 
-    Shares the power grids and coefficient selection across schemes so the
-    comparisons are paired.  Returns {scheme: (assignment, report)}, with a
-    zero-rate fallback assignment of None when nothing is feasible."""
+    One evaluator runs over the stacked power grids of the schemes, so
+    coefficient selection, ranking and feasibility run once per draw and
+    the comparisons are paired.  Returns {scheme: (assignment, report)},
+    with a zero-rate fallback assignment of None when nothing is feasible."""
+    schemes = check_schemes(schemes)
+    if not schemes:
+        return {}
     L = channel.L
     region = second_hop_region(channel.g, channel.P_R)
     caps = np.asarray(region.perRelayCapacity, dtype=float)
-    contexts = {}
+    # each needed grid, in first-use order, and its slice of the stacked rows
+    grids, spans, start = [], {}, 0
+    for common in dict.fromkeys(_COMMON_POWER[s] for s in schemes):
+        grids.append(_grid_rows(channel.P, common, config))
+        spans[common] = slice(start, start + len(grids[-1]))
+        start = spans[common].stop
+    ctx = _Grid(channel.H, caps, np.concatenate(grids), config.gammaOpt)
     results = {}
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r}")
-        common = _COMMON_POWER[scheme]
-        if common not in contexts:
-            rows = _grid_rows(channel.P, common, config)
-            contexts[common] = _Grid(channel.H, caps, rows, config.gammaOpt)
-        ctx = contexts[common]
         variant = _SCHEME_VARIANT[scheme]
-        picked = ctx.evaluate(variant)
+        picked = ctx.evaluate(variant, spans[_COMMON_POWER[scheme]])
         if picked is None:
             results[scheme] = (None, _zero_report(L))
             continue

@@ -137,6 +137,21 @@ def test_emit_csv_empty_schemes_header_only():
     assert buf.getvalue() == CSV_HEADER + "\n"
 
 
+def test_schemes_set_from_python_follow_the_text_rule():
+    # a tuple or list is taken as the scheme names themselves, with the
+    # same empty and repeat checks as comma-separated text
+    for value in (("scf", "acf"), ["scf", "acf"], "scf, acf"):
+        assert config_from_mapping({"schemes": value}).schemes == ("scf", "acf")
+    for value in ((), [], " , "):
+        with pytest.raises(ConfigError, match="schemes must be nonempty"):
+            config_from_mapping({"schemes": value})
+    for value in (("scf", "scf"), "scf,scf"):
+        with pytest.raises(ConfigError, match="scheme 'scf' listed twice"):
+            config_from_mapping({"schemes": value})
+    with pytest.raises(ConfigError, match="scheme 'scf' listed twice"):
+        RunConfig(schemes=("scf", "acf", "scf"))
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nL = 2\ntrials = 4  # inline\nschemes = scf, acf\n", encoding="utf-8")

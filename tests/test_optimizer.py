@@ -390,6 +390,87 @@ def test_grid_blocks_bound_memory_and_keep_winners(monkeypatch):
             assert other.evaluate(variant) == ctx.evaluate(variant)
 
 
+@pytest.mark.parametrize("budget", [None, 1 << 10])
+@pytest.mark.parametrize("L,nBrute,max_rows", [(2, 7, 30), (3, 5, 100), (4, 3, 50)])
+def test_stacked_grid_slices_match_separate_grids(monkeypatch, L, nBrute, max_rows, budget):
+    # evaluate_all stacks the common-power and per-source grids into one
+    # _Grid.  Every per-row computation is row-independent, so each slice,
+    # in either stacking order and whatever the block size, must give what
+    # a _Grid built on its grid alone gives.  The mesh is shrunk below
+    # nBrute^L, as in test_grid_rows_cap.
+    monkeypatch.setattr(optimizer, "_MAX_GRID_ROWS", max_rows)
+    if budget is not None:
+        monkeypatch.setattr(optimizer, "_BLOCK_ELEMS", budget)
+    cfg = OptimizerConfig(nBrute=nBrute)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        H = rng.normal(size=(L, L))
+        P = 10 ** rng.uniform(0.5, 2.4, size=L)
+        caps = rng.uniform(1.0, 6.0, size=L)
+        alone = {common: _Grid(H, caps, _grid_rows(P, common, cfg), cfg.gammaOpt) for common in (True, False)}
+        assert nBrute < len(alone[False].p) < nBrute**L
+        for order in ((True, False), (False, True)):
+            stacked = _Grid(H, caps, np.concatenate([alone[c].p for c in order]), cfg.gammaOpt)
+            start = 0
+            for ctx in (alone[c] for c in order):
+                span = slice(start, start + len(ctx.p))
+                assert np.array_equal(stacked.A[span], ctx.A)
+                for variant in ("symmetric", "srq", "srm", "srmq"):
+                    got = stacked.evaluate(variant, span)
+                    want = ctx.evaluate(variant)
+                    assert (got is None) == (want is None)
+                    if want is None:
+                        continue
+                    assert got[0] == want[0] and got[1] == start + want[1] and got[2] == want[2]
+                    for a, b in zip(stacked.winner(got[1], got[2]), ctx.winner(want[1], want[2])):
+                        assert np.array_equal(a, b)
+                start = span.stop
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_bounds_match_direct_log_ratios(L):
+    # _bounds reads the forwarding log-ratios from one (N, L, L) table per
+    # grid; each bound must be bit for bit the one computed from the
+    # ratios directly, for every pi_e and (srmq) every bijection sigma
+    rng = np.random.default_rng(17 + L)
+    p = rng.uniform(0.5, 200.0, size=(12, L))
+    p[:3] = p[:3, :1]
+    p[3:6, -1] = p[3:6, 0]
+    caps = rng.uniform(1.0, 6.0, size=L)
+    ctx = _Grid(rng.normal(size=(L, L)), caps, p, 257)
+    ps = np.sort(p, axis=1)
+    for variant in ("symmetric", "srm"):
+        pe_pow = ps[:, None, -1:] if variant == "symmetric" else ps[:, ctx.perms - 1]
+        off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
+        want = np.min(np.where(ctx.mask[:, None], caps[None, None, :, None] - off, np.inf), axis=2)
+        [(kd, got)] = ctx._bounds(variant, slice(None))
+        assert kd is None and got.shape == want.shape and got.tobytes() == want.tobytes()
+    pe_pow = ps[:, ctx.perms - 1]
+    got = list(ctx._bounds("srmq", slice(None)))
+    assert len(got) == len(ctx.perms)
+    for sigma, (_, bounds) in zip(ctx.perms - 1, got):
+        want = caps[sigma] - 0.5 * np.log2(pe_pow[:, :, sigma] / p[:, None, :])
+        assert bounds.shape == want.shape and bounds.tobytes() == want.tobytes()
+
+
+def test_evaluate_all_selects_once_per_draw(monkeypatch):
+    # the five schemes share one grid: coefficient selection runs once,
+    # over the 5 common-power rows and the 125 mesh rows together
+    calls = []
+    select = _Grid._select
+
+    def counted(self, p):
+        calls.append(len(p))
+        return select(self, p)
+
+    monkeypatch.setattr(_Grid, "_select", counted)
+    cfg = OptimizerConfig(nBrute=5)
+    rng = np.random.default_rng(21)
+    ch = ChannelInstance(rng.normal(size=(3, 3)), rng.normal(size=3), np.full(3, 40.0), np.full(3, 10.0))
+    assert list(evaluate_all(ch, cfg)) == list(optimizer.SCHEMES)
+    assert calls == [5 + 125]
+
+
 @pytest.mark.parametrize("L,nBrute", [(2, 10), (3, 10), (4, 6)])
 def test_reported_rates_match_search_value(L, nBrute):
     # the winner is rebuilt as a full assignment and its rates recomputed
@@ -452,3 +533,20 @@ def test_evaluate_all_scheme_subset():
     assert asg is None or mat_rank(asg.field_image) == 2
     with pytest.raises(ConfigError):
         evaluate_all(ch, cfg, ("bogus",))
+
+
+def test_evaluate_all_checks_schemes_before_any_work(monkeypatch):
+    cfg = OptimizerConfig(nBrute=10)
+    ch = ChannelInstance(
+        np.array([[0.9, 0.2], [-0.5, 1.4]]), np.array([0.8, 1.3]), np.full(2, 20.0), np.full(2, 5.0)
+    )
+    assert evaluate_all(ch, cfg, ()) == {}
+
+    def no_work(*args):
+        raise AssertionError("a power grid was built before the scheme check")
+
+    monkeypatch.setattr(optimizer, "_grid_rows", no_work)
+    with pytest.raises(ConfigError, match="scheme 'scf' listed twice"):
+        evaluate_all(ch, cfg, ("scf", "acf", "scf"))
+    with pytest.raises(ConfigError, match="unknown scheme 'bogus'"):
+        evaluate_all(ch, cfg, ("scf", "bogus"))
