@@ -5,7 +5,6 @@ from .errors import (
     ConfigError,
     DecodeFailure,
     InfeasibleStructureError,
-    NoIndependentRowError,
     NotFullRankError,
     NotInCodebookError,
     ReductionError,
@@ -33,7 +32,6 @@ __all__ = [
     "FieldMatrix",
     "InfeasibleStructureError",
     "LevelPair",
-    "NoIndependentRowError",
     "NotFullRankError",
     "NotInCodebookError",
     "OptimizerConfig",

@@ -101,22 +101,26 @@ class SweepResult:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; values keep raw text.
-    A key set twice is a configuration error."""
+    """Flat key = value lines of UTF-8 text; '#' starts a comment; values
+    keep raw text.  A key set twice is a configuration error."""
     out = {}
     key_line = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in key_line:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {key_line[key]}")
-            key_line[key] = lineno
-            out[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in key_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {key_line[key]}")
+        key_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -204,14 +208,16 @@ def _channel_from_config(mapping: dict) -> ChannelInstance:
         if key not in ("H", "g", "P", "P_R"):
             raise ConfigError(f"unknown channel config key {key!r}")
     try:
-        H = np.array([[float(x) for x in row.split()] for row in mapping["H"].split(";")])
+        rows = [[float(x) for x in row.split()] for row in mapping["H"].split(";")]
         g, P, P_R = (np.array([float(x) for x in mapping[key].split()]) for key in ("g", "P", "P_R"))
     except KeyError as exc:
         raise ConfigError(f"channel config missing key {exc}") from None
     except ValueError:
         raise ConfigError("channel entries must be numbers") from None
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError("H rows must have equal length")
     try:
-        return ChannelInstance(H, g, P, P_R)
+        return ChannelInstance(np.array(rows), g, P, P_R)
     except ValueError as exc:
         raise ConfigError(f"bad channel: {exc}") from None
 

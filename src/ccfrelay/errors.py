@@ -50,10 +50,6 @@ class InfeasibleStructureError(CCFError):
     """No nonnegative rate tuple satisfies the forwarding constraints."""
 
 
-class NoIndependentRowError(CCFError):
-    """Coefficient selection could not extend to a full-rank matrix."""
-
-
 class ReductionError(CCFError):
     """A lattice reduction did not converge, or its steps left the int64
     range: the floating-point metric has lost its precision."""

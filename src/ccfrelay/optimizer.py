@@ -18,10 +18,10 @@ per-source), in blocks of grid rows: coefficient selection, rates,
 permutation feasibility (computed once per distinct coefficient matrix
 and ordering) and the variant bounds, whose forwarding log-ratios are
 computed once per row for every variant.  Only coefficient selection
-depends on L.  L = 2 runs sort-free on (N,) columns: the exact
-two-dimensional (Gauss) reduction, then a masked lexicographic minimum
-over four candidate rows per relay.  Other sizes take a masked batched
-LLL and a rank-greedy selection over F_gamma.
+depends on L.  Each relay takes its smallest candidate row (reduced
+basis rows and unit vectors) in (metric, coordinates) that extends the
+rank over F_gamma: on (N,) columns after the exact two-dimensional
+reduction at L = 2, and on (N, 2L) arrays after a batched LLL otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoIndependentRowError, NotFullRankError, ReductionError
+from .errors import ConfigError, NotFullRankError, ReductionError
 from .galois import (
     FieldMatrix,
     _check_prime,
@@ -79,8 +79,8 @@ def _block_rows(per_row: int) -> int:
     return max(1, _BLOCK_ELEMS // per_row)
 
 
-# Lovasz parameter of every LLL reduction
-_LLL_DELTA = 0.75
+# Lovasz parameter of every LLL reduction, and the slack of the checks of its output
+_LLL_DELTA, _LLL_TOL = 0.75, 1e-9
 # per-source meshes shrink their axis length until they hold at most this many rows
 _MAX_GRID_ROWS = 200_000
 
@@ -132,21 +132,16 @@ def _gso(B: np.ndarray):
     return norms2, mu
 
 
-def is_size_reduced(B, tol: float = 1e-9) -> bool:
+def is_size_reduced(B) -> bool:
     _, mu = _gso(np.asarray(B, dtype=float)[None])
-    off = np.tril(mu[0], -1)
-    return bool(np.all(np.abs(off) <= 0.5 + tol))
+    return bool(np.all(np.abs(np.tril(mu[0], -1)) <= 0.5 + _LLL_TOL))
 
 
-def satisfies_lovasz(B, delta: float, tol: float = 1e-9) -> bool:
-    B = np.asarray(B, dtype=float)
-    norms2, mu = _gso(B[None])
-    norms2, mu = norms2[0], mu[0]
-    scale = max(1.0, float(np.max(norms2)))
-    for k in range(1, B.shape[0]):
-        if norms2[k] < (delta - mu[k, k - 1] ** 2) * norms2[k - 1] - tol * scale:
-            return False
-    return True
+def satisfies_lovasz(B) -> bool:
+    norms2, mu = _gso(np.asarray(B, dtype=float)[None])
+    slack = _LLL_TOL * max(1.0, float(np.max(norms2)))
+    bound = (_LLL_DELTA - np.float_power(np.diagonal(mu[0], -1), 2)) * norms2[0, :-1] - slack
+    return bool(np.all(norms2[0, 1:] >= bound))
 
 
 def is_unimodular(T) -> bool:
@@ -159,7 +154,7 @@ def is_unimodular(T) -> bool:
 _LLL_GUARD = 100000
 
 
-def _lll_batched(B, delta: float):
+def _lll_batched(B):
     """Lovasz-reduce the rows of every basis in a stack (M, n, d).
 
     Each basis takes the steps of the textbook loop: size reduction of row
@@ -193,7 +188,7 @@ def _lll_batched(B, delta: float):
             kl = k[test]
             # np.float_power is libm pow, as `**` on a numpy scalar; the
             # square x * x can differ from it in the last bit
-            ok = norms2[test, kl] >= (delta - np.float_power(mu[test, kl, kl - 1], 2)) * norms2[test, kl - 1]
+            ok = norms2[test, kl] >= (_LLL_DELTA - np.float_power(mu[test, kl, kl - 1], 2)) * norms2[test, kl - 1]
             k[test[ok]] += 1
             sw, ks = test[~ok], kl[~ok]
             if sw.size:
@@ -209,7 +204,7 @@ def _lll_batched(B, delta: float):
     return B, T
 
 
-def lll_reduce(basis, delta: float = _LLL_DELTA):
+def lll_reduce(basis):
     """Lovasz-reduce the rows of ``basis``.
 
     Returns (reduced, transform) with reduced = transform @ basis and an
@@ -218,7 +213,7 @@ def lll_reduce(basis, delta: float = _LLL_DELTA):
     n = B.shape[0]
     if B.ndim != 2 or B.shape[1] < n or np.linalg.matrix_rank(B) < n:
         raise NotFullRankError("basis rows are linearly dependent")
-    B, T = _lll_batched(B[None], delta)
+    B, T = _lll_batched(B[None])
     return B[0], T[0]
 
 
@@ -254,63 +249,54 @@ def _metric2(x, y, D):
 
 
 def _pick2(D, ok):
-    """Columns (x, y, found) of one relay's smallest candidate row at L = 2
-    that ``ok(x, y)`` admits, lexicographically in (metric, x, y), the
-    first one winning exact ties.  The candidates are the two reduced rows
-    of D (N, 2, 2) and the unit vectors, sign-normalized."""
+    """Columns (x, y) of one relay's smallest candidate row at L = 2 that
+    ``ok(x, y)`` admits, lexicographically in (metric, x, y), the first one
+    winning exact ties.  The candidates are the two reduced rows of D
+    (N, 2, 2) and the unit vectors, sign-normalized; ``ok`` admits one of
+    the unit vectors on every row."""
     u0, u1, v0, v1 = _lagrange2(D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
-    x, y, met, found = 0, 0, np.inf, False
+    x, y, met = 0, 0, np.inf
     for xk, yk in ((u0, u1), (v0, v1), (1, 0), (0, 1)):
         sign = np.where(np.where(xk != 0, xk, yk) < 0, -1, 1)
         xk, yk = sign * xk, sign * yk
         mk = _metric2(xk, yk, D)
-        less = (mk < met) | ((mk == met) & ((xk < x) | ((xk == x) & (yk < y))))
-        take = ok(xk, yk) & (~found | less)
+        take = ok(xk, yk) & ((mk < met) | ((mk == met) & ((xk < x) | ((xk == x) & (yk < y)))))
         x, y, met = np.where(take, xk, x), np.where(take, yk, y), np.where(take, mk, met)
-        found = found | take
-    return x, y, found
+    return x, y
 
 
-def _select_A2(D: np.ndarray, gamma: int):
+def _select_A2(D: np.ndarray, gamma: int) -> np.ndarray:
     """Batched coefficient selection at L = 2.
 
     ``D`` has shape (N, 2, 2, 2), indexed by row then relay.  Relay 1 takes
     its smallest candidate nonzero modulo gamma, relay 2 its smallest one
     independent of relay 1's modulo gamma.  Returns the integer matrices
-    (N, 2, 2) and a mask of rows where a full-rank choice exists."""
-    x1, y1, ok1 = _pick2(D[:, 0], lambda x, y: (x % gamma != 0) | (y % gamma != 0))
-    x2, y2, ok2 = _pick2(D[:, 1], lambda x, y: (x1 * y - y1 * x) % gamma != 0)
-    return np.stack([x1, y1, x2, y2], axis=1).reshape(-1, 2, 2), ok1 & ok2
+    (N, 2, 2)."""
+    x1, y1 = _pick2(D[:, 0], lambda x, y: (x % gamma != 0) | (y % gamma != 0))
+    x2, y2 = _pick2(D[:, 1], lambda x, y: (x1 * y - y1 * x) % gamma != 0)
+    return np.stack([x1, y1, x2, y2], axis=1).reshape(-1, 2, 2)
 
 
-def _sorted_candidates(T, D):
-    """Candidate coefficient rows of a stack of relays: the reduced basis
-    rows (M, L, L) plus the unit vectors, sign-normalized, ordered by their
-    metric under D (M, L, L), then lexicographically."""
-    M, L, _ = T.shape
-    cand = np.concatenate([T, np.broadcast_to(np.eye(L, dtype=np.int64), (M, L, L))], axis=1)
-    lead = np.take_along_axis(cand, np.argmax(cand != 0, axis=2)[..., None], axis=2)
-    cand = cand * np.where(lead < 0, -1, 1)
-    met = np.einsum("nci,nij,ncj->nc", cand, D, cand)
-    order = np.lexsort(tuple(cand[..., i] for i in reversed(range(L))) + (met,), axis=-1)
-    return np.take_along_axis(cand, order[..., None], axis=1)
-
-
-def _select_A(D: np.ndarray, gamma: int):
+def _select_A(D: np.ndarray, gamma: int) -> np.ndarray:
     """Batched coefficient selection for any L.
 
     ``D`` has shape (N, L, L, L), indexed by row then relay.  Each relay's
-    candidates come from reducing its Cholesky basis; relay by relay, the
-    first candidate outside the span of the rows already chosen (modulo
-    gamma) is taken.  Returns the integer matrices (N, L, L) and a mask of
-    rows where a full-rank choice exists."""
+    candidates are the rows of its reduced Cholesky basis and the unit
+    vectors, sign-normalized; relay by relay, the smallest of them in
+    (metric, coordinates) outside the span of the rows already chosen
+    (modulo gamma) is taken, the first one winning exact ties.  Over a
+    prime gamma a unit vector always qualifies.  Returns the integer
+    matrices (N, L, L)."""
     N, L = D.shape[:2]
     flat = D.reshape(N * L, L, L)
-    _, T = _lll_batched(np.linalg.cholesky(flat), _LLL_DELTA)
-    cand = _sorted_candidates(T, flat).reshape(N, L, 2 * L, L)
+    _, T = _lll_batched(np.linalg.cholesky(flat))
+    cand = np.concatenate([T, np.broadcast_to(np.eye(L, dtype=np.int64), T.shape)], axis=1)
+    lead = np.take_along_axis(cand, np.argmax(cand != 0, axis=2)[..., None], axis=2)
+    cand = cand * np.where(lead < 0, -1, 1)
+    met = np.einsum("nci,nij,ncj->nc", cand, flat, cand).reshape(N, L, 2 * L)
+    cand = cand.reshape(N, L, 2 * L, L)
     rows = np.arange(N)
     A = np.empty((N, L, L), dtype=np.int64)
-    valid = np.ones(N, dtype=bool)
     # echelon rows of the chosen rows mod gamma: basis[:, i] is zero at the
     # pivots of the other rows and nonzero at its own pivot pivots[:, i]
     basis = np.zeros((N, L, L), dtype=np.int64)
@@ -321,9 +307,12 @@ def _select_A(D: np.ndarray, gamma: int):
             b = basis[:, i, None, :]
             lead = np.take_along_axis(b, pivots[:, i, None, None], axis=2)
             res = (res * lead - res[rows, :, pivots[:, i]][..., None] * b) % gamma
-        ok = np.any(res != 0, axis=2)
-        pick = np.argmax(ok, axis=1)
-        valid &= ok[rows, pick]
+        # masked lexicographic minimum in (metric, coordinates)
+        keep = np.any(res != 0, axis=2)
+        keep &= met[:, m] == np.min(np.where(keep, met[:, m], np.inf), axis=1, keepdims=True)
+        for c in np.moveaxis(cand[:, m], 2, 0):
+            keep &= c == np.min(np.where(keep, c, np.iinfo(c.dtype).max), axis=1, keepdims=True)
+        pick = np.argmax(keep, axis=1)
         A[:, m] = cand[rows, m, pick]
         w = res[rows, pick]
         pv = np.argmax(w != 0, axis=1)
@@ -331,7 +320,7 @@ def _select_A(D: np.ndarray, gamma: int):
             basis[:, i] = (basis[:, i] * w[rows, pv, None] - basis[rows, i, pv, None] * w) % gamma
         basis[:, m] = w
         pivots[:, m] = pv
-    return A, valid
+    return A
 
 
 def select_coefficients(H, p, gamma: int) -> np.ndarray:
@@ -339,17 +328,12 @@ def select_coefficients(H, p, gamma: int) -> np.ndarray:
     vector p (L,), or for every row of a power grid p (N, L) at once.
 
     Each relay's candidates come from reducing the identity basis in its
-    effective-noise metric; rows are picked greedily by metric under the
-    constraint that the stack stays full rank over F_gamma."""
+    effective-noise metric; relay by relay, the smallest candidate by metric
+    that keeps the stack full rank over F_gamma is taken."""
     H = np.asarray(H, dtype=float)
     p = np.asarray(p, dtype=float)
     D = _gram(H, np.atleast_2d(p))
-    if D.shape[1] == 2:
-        A, valid = _select_A2(D, gamma)
-    else:
-        A, valid = _select_A(D, gamma)
-    if not np.all(valid):
-        raise NoIndependentRowError("no full-rank coefficient choice modulo gamma")
+    A = _select_A2(D, gamma) if D.shape[1] == 2 else _select_A(D, gamma)
     return A if p.ndim == 2 else A[0]
 
 
@@ -488,14 +472,12 @@ class _Grid:
         return _group_rows(self.A.reshape(len(self.A), -1))[1]
 
     def _select(self, p):
-        """Coefficients and computation rates of a block of rows.  Selection
-        cannot fail here: the unit vectors among the candidates always
-        extend the rank."""
+        """Coefficients and computation rates of a block of rows."""
         if self.L == 2:
             # what select_coefficients runs at L = 2: perfbench requires no
             # select_coefficients calls on sweep-l2 and some on sweep-l3,
             # until it counts distinct A over grid rows instead
-            A = _select_A2(_gram(self.H, p), self.gamma)[0]
+            A = _select_A2(_gram(self.H, p), self.gamma)
         else:
             A = select_coefficients(self.H, p, self.gamma)
         return A, computation_rate(self.H, A, p)

@@ -224,10 +224,10 @@ def _lll_contract(rng):
     B = rng.normal(size=(L, L))
     while abs(np.linalg.det(B)) < 1e-3:
         B = rng.normal(size=(L, L))
-    red, T = optimizer.lll_reduce(B, 0.75)
+    red, T = optimizer.lll_reduce(B)
     if not optimizer.is_size_reduced(red):
         return f"size reduction failed B={_fmt(B)}"
-    if not optimizer.satisfies_lovasz(red, 0.75):
+    if not optimizer.satisfies_lovasz(red):
         return f"Lovasz failed B={_fmt(B)}"
     if not optimizer.is_unimodular(T):
         return f"transform not unimodular B={_fmt(B)}"

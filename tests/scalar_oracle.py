@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from ccfrelay.errors import ConfigError, NoIndependentRowError, NotFullRankError
+from ccfrelay.errors import ConfigError, NotFullRankError
 from ccfrelay.galois import FieldMatrix, mat_rank, perm_inverse
 from ccfrelay.optimizer import _coding_key, _gram, _rank_perms, pi_d_is_feasible, pi_e_is_feasible
 
@@ -144,7 +144,7 @@ def scalar_select_from_gram(Ds, gamma: int) -> np.ndarray:
                 picked = cand[idx]
                 break
         if picked is None:
-            raise NoIndependentRowError(f"no candidate row extends rank at relay {m + 1}")
+            raise AssertionError(f"no candidate row extends rank at relay {m + 1}")
         chosen.append(picked)
     return np.stack(chosen).astype(np.int64)
 
@@ -171,11 +171,7 @@ class ScalarRows:
         self._pi_e_cache = {}
         self.rows = []
         for p in self.p_rows:
-            try:
-                A = scalar_select_coefficients(self.H, p, gamma)
-            except NoIndependentRowError:
-                self.rows.append(None)
-                continue
+            A = scalar_select_coefficients(self.H, p, gamma)
             r_comp = computation_rate(self.H, A, p)
             self.rows.append(
                 {
@@ -219,8 +215,6 @@ class ScalarRows:
                 best = (key, row_idx, meta)
 
         for idx, row in enumerate(self.rows):
-            if row is None:
-                continue
             p = row["p"]
             A = row["A"]
             mask = A != 0

@@ -152,9 +152,9 @@ def test_lll_contract_at_volume():
         B = rng.normal(size=(n, n))
         while abs(np.linalg.det(B)) < 1e-6:
             B = rng.normal(size=(n, n))
-        red, T = lll_reduce(B, 0.75)
+        red, T = lll_reduce(B)
         assert is_size_reduced(red)
-        assert satisfies_lovasz(red, 0.75)
+        assert satisfies_lovasz(red)
         assert is_unimodular(T)
         np.testing.assert_allclose(red, T @ B, atol=1e-8)
 

@@ -281,6 +281,18 @@ def test_repeated_config_key_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {path}:4: key 'trials' already set on line 1\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_config_file_that_is_not_utf8_is_a_config_error(command, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"trials = 2\n\xff\xfe = 3\n")
+    with pytest.raises(ConfigError, match="bad.cfg: not UTF-8 text"):
+        parse_config_file(str(path))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {path}: not UTF-8 text\n"
+
+
 def test_main_exit_code_numeric_error(capsys):
     # at 150 dB the L = 2 reduction loses its precision on some draw: the
     # sweep stops with a named error that says where, not a traceback
@@ -360,6 +372,15 @@ def test_main_optimize_rejects_degenerate_channel(channel, tmp_path, capsys):
     cfg.write_text(channel, encoding="utf-8")
     assert main(["optimize", "--config", str(cfg), "--schemes", "scf"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_optimize_rejects_ragged_channel_rows(tmp_path, capsys):
+    cfg = tmp_path / "chan.cfg"
+    cfg.write_text("H = 1 2; 3\ng = 1 1\nP = 1 1\nP_R = 1 1\n", encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg), "--schemes", "scf"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: H rows must have equal length\n"
 
 
 def test_main_demo_noisy(capsys):

@@ -11,7 +11,6 @@ from ccfrelay.errors import ConfigError, NotFullRankError, ReductionError
 from ccfrelay.galois import FieldMatrix, mat_rank, residual_sets, residual_submatrix
 from ccfrelay.optimizer import (
     _COMMON_POWER,
-    _LLL_DELTA,
     _SCHEME_VARIANT,
     OptimizerConfig,
     _feasible_perms,
@@ -23,6 +22,7 @@ from ccfrelay.optimizer import (
     _lll_batched,
     _metric2,
     _power_grid,
+    _select_A,
     _select_A2,
     evaluate_all,
     is_size_reduced,
@@ -65,14 +65,14 @@ def test_gram_matrix_matches_noise_power():
 
 
 def test_lll_identity_is_fixed_point():
-    red, T = lll_reduce(np.eye(3), 0.75)
+    red, T = lll_reduce(np.eye(3))
     np.testing.assert_allclose(red, np.eye(3))
     assert np.array_equal(T, np.eye(3, dtype=np.int64))
 
 
 def test_lll_shortens_skewed_basis():
     B = np.array([[1.0, 0.0], [0.99, 1.0]])
-    red, T = lll_reduce(B, 0.75)
+    red, T = lll_reduce(B)
     assert np.linalg.norm(red[0]) <= np.linalg.norm(B[1])
     assert is_unimodular(T)
     np.testing.assert_allclose(red, T @ B)
@@ -85,16 +85,16 @@ def test_lll_contract_on_random_bases():
         B = rng.normal(size=(n, n))
         while abs(np.linalg.det(B)) < 1e-6:
             B = rng.normal(size=(n, n))
-        red, T = lll_reduce(B, 0.75)
+        red, T = lll_reduce(B)
         assert is_size_reduced(red)
-        assert satisfies_lovasz(red, 0.75)
+        assert satisfies_lovasz(red)
         assert is_unimodular(T)
         np.testing.assert_allclose(red, T @ B, atol=1e-8)
 
 
 def test_lll_rejects_rank_deficient():
     with pytest.raises(NotFullRankError):
-        lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]), 0.75)
+        lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def brute_best_row(D, gamma, max_coeff, exclude=None):
@@ -181,10 +181,94 @@ def test_select_A2_matches_scalar_oracle():
     assert np.sum((np.abs(u0) + np.abs(u1)) == 1) > 50
     for D in stacks:
         for gamma in (2, 3, 5, 257):
-            A, valid = _select_A2(D, gamma)
-            assert np.all(valid)
+            A = _select_A2(D, gamma)
             want = np.stack([scalar_select_from_gram(Ds, gamma) for Ds in D])
             assert np.array_equal(A, want)
+
+
+def gram_stack_ints(L, count, seed):
+    """Small integer metric stacks (count, L, L, L), indexed by row then
+    relay: Gram matrices M M^T of random integer M, which reduce to rows
+    other than the unit vectors, alternating with diagonally dominant ones
+    whose diagonals repeat, which reduce to unit vectors and tie them
+    exactly."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count * L:
+        if len(out) % 2:
+            M = rng.integers(-3, 4, size=(L, L))
+            if round(abs(np.linalg.det(M))) == 0:
+                continue
+            out.append(M @ M.T)
+        else:
+            off = np.triu(rng.integers(-1, 2, size=(L, L)), 1)
+            out.append(off + off.T + np.diag(rng.choice((L, L + 1), size=L)))
+    return np.array(out, dtype=float).reshape(count, L, L, L)
+
+
+def reduced_rows(D):
+    """Each relay's reduced coordinate rows (N, L, L, L), as coefficient
+    selection computes them from the metrics D (N, L, L, L): the Gauss
+    reduction at L = 2, LLL otherwise."""
+    N, L = D.shape[:2]
+    flat = D.reshape(-1, L, L)
+    if L == 2:
+        T = np.stack(_lagrange2(flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 1]), axis=1)
+    else:
+        T = _lll_batched(np.linalg.cholesky(flat))[1]
+    return T.reshape(N, L, L, L)
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_select_A_matches_scalar_oracle_on_integer_metrics(L):
+    # the masked lexicographic minimum must break exact metric ties and
+    # choose among coinciding candidates as the scalar candidate sort and
+    # rank-greedy walk do, for small and large gamma
+    D = gram_stack_ints(L, 60, seed=L)
+    cand = np.concatenate([reduced_rows(D), np.broadcast_to(np.eye(L, dtype=np.int64), D.shape)], axis=2)
+    lead = np.take_along_axis(cand, np.argmax(cand != 0, axis=3)[..., None], axis=3)
+    cand = cand * np.where(lead < 0, -1, 1)
+    met = np.einsum("nmci,nmij,nmcj->nmc", cand, D, cand)
+    i, j = np.triu_indices(2 * L, 1)
+    distinct = np.any(cand[:, :, i] != cand[:, :, j], axis=3)
+    # relays with an exact metric tie between distinct candidates, and
+    # relays with a reduced row equal to a unit vector
+    assert np.sum(np.any(distinct & (met[:, :, i] == met[:, :, j]), axis=2)) > 30
+    assert np.sum(np.any(~distinct, axis=2)) > 30
+    for gamma in (2, 3, 5, 257):
+        want = np.stack([scalar_select_from_gram(Ds, gamma) for Ds in D])
+        assert np.array_equal(_select_A(D, gamma), want)
+
+
+@pytest.mark.parametrize("gamma", [2, 3])
+def test_selected_rows_always_extend_the_rank(gamma):
+    # the reduction transform is unimodular, so over a prime gamma its rows
+    # span the whole space, as the unit vectors do: at every relay both
+    # sets hold a row that extends the rank of the rows chosen before, so
+    # selection cannot run out of candidates.  The rank mask must reject
+    # the smallest candidate somewhere, and a unit vector that is none of
+    # the reduced rows must be taken somewhere
+    rng = np.random.default_rng(21)
+    masked = unit_picks = 0
+    for L in (1, 2, 3, 4):
+        units = np.eye(L, dtype=np.int64)
+        for _ in range(6):
+            H = rng.normal(size=(L, L))
+            p = 10 ** rng.uniform(-1.0, 3.0, size=(40, L))
+            D = _gram(H, p)
+            A = select_coefficients(H, p, gamma)
+            for a, t, d in zip(A, reduced_rows(D), D):
+                assert mat_rank(FieldMatrix(a, gamma)) == L
+
+                def extends(row):
+                    return mat_rank(FieldMatrix(np.vstack([a[:m], row]), gamma)) == m + 1
+
+                for m in range(L):
+                    assert any(map(extends, t[m])) and any(map(extends, units))
+                    cand = np.vstack([t[m], units])
+                    masked += not extends(cand[np.argmin(np.einsum("ci,ij,cj->c", cand, d[m], cand))])
+                    unit_picks += np.sum(np.abs(a[m])) == 1 and not np.any(np.all(np.abs(t[m]) == np.abs(a[m]), axis=1))
+    assert masked > 0 and unit_picks > 0
 
 
 def test_metric2_matches_einsum_bitwise():
@@ -345,7 +429,7 @@ def test_batched_matches_scalar_oracle(L, nBrute, draws):
             slow = ScalarRows(H, caps, rows, cfg.gammaOpt)
             assert np.array_equal(fast.A, np.stack([row["A"] for row in slow.rows]))
             if L > 2:
-                _, T = _lll_batched(np.linalg.cholesky(_gram(H, rows).reshape(-1, L, L)), _LLL_DELTA)
+                _, T = _lll_batched(np.linalg.cholesky(_gram(H, rows).reshape(-1, L, L)))
                 want = np.concatenate([relay_transforms(H, p) for p in rows])
                 assert np.array_equal(T, want)
             for variant in ("symmetric", "srq", "srm", "srmq"):

@@ -36,7 +36,7 @@ def test_fixed_pi_d_fails_the_residual_rank_property(monkeypatch, capsys):
 
 
 def test_unreduced_lll_fails_the_lll_contract(monkeypatch, capsys):
-    monkeypatch.setattr(ccfrelay.verify.optimizer, "lll_reduce", lambda B, delta: (B, np.eye(len(B), dtype=np.int64)))
+    monkeypatch.setattr(ccfrelay.verify.optimizer, "lll_reduce", lambda B: (B, np.eye(len(B), dtype=np.int64)))
     failed = _failures(run_verify("optimizer", 0))
     assert list(failed) == ["optimizer.lll-contract"]
     assert "B=" in failed["optimizer.lll-contract"]
