@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, NotInCodebookError, SpecMismatchError
-from .galois import FieldMatrix, int64_array
+from .galois import FieldMatrix, int64_array, int_divmod
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,23 @@ def _require_same_spec(a: ChainPoint, b: ChainPoint) -> None:
 def combine(points, coeffs) -> ChainPoint:
     """Exact integer combination sum_i c_i x_i: the field combination d of the
     digits, with integer carries (sum_i c_i kappa(G d_i) - kappa(G d)) / gamma,
-    an exact division because the two code word terms agree modulo gamma."""
+    an exact division because the two code word terms agree modulo gamma.
+    On G's identity block those code words are the canonical digits, so the
+    carries there are raw // gamma for raw = sum_i c_i d_i (whose residue is
+    d); code words are formed only for the parity rows below it (P^T)."""
     spec = points[0].spec
+    P = spec.G.entries[spec.kMax :].T
     raw = words = ints = 0
     for c, x in zip(map(int, coeffs), points, strict=True):
         _require_same_spec(points[0], x)
         raw = raw + c * x.digits
-        words = words + c * spec.code_word(x.digits)
         ints = ints + c * x.ints
-    digits = np.mod(raw, spec.gamma)
-    return _point(spec, digits, ints + (words - spec.code_word(digits)) // spec.gamma)
+        if P.size:
+            words = words + c * (x.digits @ P % spec.gamma)
+    carries, digits = int_divmod(raw, spec.gamma)
+    if P.size:
+        carries = np.concatenate((carries, (words - digits @ P % spec.gamma) // spec.gamma), axis=-1)
+    return _point(spec, digits, ints + carries)
 
 
 def point_add(a: ChainPoint, b: ChainPoint) -> ChainPoint:

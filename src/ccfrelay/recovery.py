@@ -6,8 +6,8 @@ Three algorithms, all exact over the digit lattice chain:
   coding layer per iteration from fine to coarse.
 - srm: asymmetric modulo with trivial quantization; recovers one whole
   codeword per iteration from the finest shaping lattice to the coarsest.
-- srmq: both asymmetries; an srq pass above the finest shaping lattice,
-  cancellation, then an srm pass below it.
+- srmq: both asymmetries; an srq pass above the finest shaping lattice
+  and an srm pass below it.
 
 Every relay output and every recovered codeword is a canonical residue:
 its integer part is zero, so its digits fix it.  The digits of a sum, an
@@ -18,6 +18,20 @@ The recovery therefore runs on int64 digit arrays over F_gamma of shape
 (L, batch..., kMax), row m-1 (or l-1) belonging to relay m (or source l),
 and builds ChainPoints only for its results.
 
+Digit columns are independent: a result's digit at one position depends
+only on the operands' digits there.  So only the columns a later
+iteration reads are computed (the band invariant):
+
+- srq iteration j reads coding layer j, from coding level j+1 (the common
+  shaping level for j = L) up to coding level j.  The layers recovered
+  before lie at or above coding level j, so their combination is zero
+  there: srq cancels nothing.
+- srm iteration i reads from shaping level i up to the fine level, on
+  relays whose modulo levels lie at or below shaping level i: it cancels
+  only below the fine level and never folds.
+- srmq's srq pass reads and fills only digits at or above the finest
+  shaping level, and its srm pass only digits below it.
+
 Inputs may carry leading batch axes; every iteration is vectorized over
 the batch.
 """
@@ -27,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMatrixError, SingularResidualError, SpecMismatchError
-from .galois import mat_inverse, residual_sets, residual_submatrix
+from .galois import int_divmod, mat_inverse, residual_sets, residual_submatrix
 from .lattice import _point
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
 from .pipeline import SchemeAssignment
@@ -59,25 +73,6 @@ def _points(spec, D: np.ndarray) -> list:
     return [_point(spec, d, zeros) for d in D]
 
 
-def _below(levels, shape: tuple) -> np.ndarray:
-    """Per-row mask of the digit positions below that row's level, shaped to
-    broadcast over a digit array of the given shape."""
-    mask = np.arange(shape[-1]) < np.asarray(levels)[:, None]
-    return mask.reshape((len(levels),) + (1,) * (len(shape) - 2) + (shape[-1],))
-
-
-def _times(M, X) -> np.ndarray:
-    """The integer matrix M applied along the leading axis of X."""
-    return (M @ X.reshape(len(X), -1)).reshape((len(M),) + X.shape[1:])
-
-
-def _cancel(V, A, T, gamma: int, quant, fold) -> np.ndarray:
-    """Digits of [v_m - Q_quant[m](sum_l a_ml t_l)] mod Lambda(fold[m]) for
-    every relay m, from relay digits V and source digits T."""
-    C = _times(A, T) * _below(quant, V.shape)
-    return np.mod(V - C, gamma) * ~_below(fold, V.shape)
-
-
 def _solve_layer(asg: SchemeAssignment, sources, relays, V, band, phase: str, iteration: int) -> np.ndarray:
     """Digits of the residual sources in one digit band: the inverse of the
     residual matrix times the residual relays' digits."""
@@ -86,7 +81,7 @@ def _solve_layer(asg: SchemeAssignment, sources, relays, V, band, phase: str, it
     except SingularMatrixError:
         raise SingularResidualError(phase, iteration) from None
     U = V[relays, ..., band]
-    return _times(inv.entries, U) % asg.spec.gamma
+    return int_divmod(inv.entries @ U.reshape(len(U), -1), asg.spec.gamma)[1].reshape(U.shape)
 
 
 def srq(v, asg: SchemeAssignment, common_shaping_level: int):
@@ -94,20 +89,18 @@ def srq(v, asg: SchemeAssignment, common_shaping_level: int):
 
     ``v[m-1]`` must be the canonical residue of the quantized combination
     of relay m modulo the common shaping lattice.  Returns the recovered
-    codewords, indexed by source.
+    codewords, indexed by source.  Each layer is solved straight from the
+    relay digits (band invariant).
     """
-    V0 = _relay_digits(v, asg)
+    V = _relay_digits(v, asg)
     L = asg.L
     coding = asg.codingLevels
-    if coding[-1] < common_shaping_level:
-        raise ValueError("common shaping lattice must be coarser than every coding lattice")
-    quant = [asg.quantize_level_of(m) for m in range(1, L + 1)]
+    if not 0 <= common_shaping_level <= coding[-1]:
+        raise ValueError(f"common shaping level {common_shaping_level} outside [0, {coding[-1]}]")
 
-    # T[l-1] holds the digits of source l recovered so far, one coding
-    # layer (digit band) per iteration.
-    T = np.zeros_like(V0)
+    # T[l-1] holds the digits of source l, one coding layer per iteration
+    T = np.zeros_like(V)
     for j in range(1, L + 1):
-        V = _cancel(V0, asg.A, T, asg.spec.gamma, quant, [common_shaping_level] * L)
         band = np.s_[coding[j] if j < L else common_shaping_level : coding[j - 1]]
         sources, relays = residual_sets(asg.pi_c, asg.pi_d, j, "d")
         T[sources, ..., band] = _solve_layer(asg, sources, relays, V, band, "quantization", j)
@@ -120,52 +113,43 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     ``v[m-1]`` must be the canonical residue of relay m's combination
     modulo its own modulo lattice.  ``dithers`` is a per-source list of
     ChainPoints or None for the all-zero dithers.  ``fine_level`` is the
-    digit level of the common fine lattice the codewords live on; it
-    defaults to the finest coding level of the assignment.
+    digit level of the common fine lattice the codewords live on, from the
+    finest shaping level to kMax; it defaults to the finest coding level.
+    Cancellation stops at the fine level (band invariant).
     """
     V = _relay_digits(v, asg)
     spec = asg.spec
     L = asg.L
     if fine_level is None:
         fine_level = asg.codingLevels[0]
+    if not asg.shapingLevels[0] <= fine_level <= spec.kMax:
+        raise ValueError(f"fine level {fine_level} outside [{asg.shapingLevels[0]}, {spec.kMax}]")
     D = _dither_digits(dithers, asg, V.shape[1:-1])
-    fold = [asg.modulo_level_of(m) for m in range(1, L + 1)]
 
     T = np.zeros_like(V)
     for i in range(1, L + 1):
         k_i = asg.shapingLevels[i - 1]
         sources, relays = residual_sets(asg.pi_s, asg.pi_e, i, "e")
         W = _solve_layer(asg, sources, relays, V, np.s_[k_i:fine_level], "modulo", i)
-        l_star = asg.pi_s.index(i) + 1
-        T[l_star - 1, ..., k_i:fine_level] = W[np.count_nonzero(sources[: l_star - 1])]
+        l = asg.pi_s.index(i)
+        T[l, ..., k_i:fine_level] = W[np.count_nonzero(sources[:l])]
         if i < L:
-            # t - Q_{k_i}(t - d); relays that leave the residual sets here
-            # are never read again
-            t = T[l_star - 1]
-            t_tilde = t - (t - D[l_star - 1]) * (np.arange(spec.kMax) < k_i)
-            V = _cancel(V, asg.A[:, [l_star - 1]], t_tilde[None], spec.gamma, [spec.kMax] * L, fold)
+            # t - Q_{k_i}(t - d): the dither below k_i, t above it
+            t = T[l, ..., :fine_level].copy()
+            t[..., :k_i] = D[l, ..., :k_i]
+            V[..., :fine_level] = int_divmod(V[..., :fine_level] - np.multiply.outer(asg.A[:, l], t), spec.gamma)[1]
     return _points(spec, T)
 
 
 def srmq(v, dithers, asg: SchemeAssignment):
     """Successive recovery under joint asymmetric quantization and modulo.
 
-    Runs srq on the residues above the finest shaping lattice, cancels the
-    recovered fine parts, shifts the dithers, and finishes with srm on the
-    remaining coarse system.
+    srq with the finest shaping level k_b1 as the common one recovers the
+    digits at or above k_b1, and srm with fine level k_b1 those below it.
+    Neither pass reads a column the other fills (band invariant), so both
+    read the relay outputs and dithers as they came and their results add.
     """
-    V0 = _relay_digits(v, asg)
-    spec = asg.spec
     k_b1 = asg.shapingLevels[0]
-
-    t_quan = srq(_points(spec, V0 * ~_below([k_b1] * asg.L, V0.shape)), asg, k_b1)
-    Tq = np.stack([t.digits for t in t_quan])
-    quant = [asg.quantize_level_of(m) for m in range(1, asg.L + 1)]
-    fold = [asg.modulo_level_of(m) for m in range(1, asg.L + 1)]
-    V_quan = _cancel(V0, asg.A, Tq, spec.gamma, quant, fold)
-    D_quan = np.mod(_dither_digits(dithers, asg, V0.shape[1:-1]) - Tq, spec.gamma)
-
-    t_mod = srm(_points(spec, V_quan), _points(spec, D_quan), asg, fine_level=k_b1)
-    Tm = np.stack([t.digits for t in t_mod])
-    shaping = [asg.shaping_level(l) for l in range(1, asg.L + 1)]
-    return _points(spec, np.mod(Tq + Tm, spec.gamma) * ~_below(shaping, Tq.shape))
+    t_quan = srq(v, asg, k_b1)
+    t_mod = srm(v, dithers, asg, fine_level=k_b1)
+    return [_point(asg.spec, q.digits + m.digits, q.ints) for q, m in zip(t_quan, t_mod)]

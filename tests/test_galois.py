@@ -10,6 +10,7 @@ from ccfrelay.galois import (
     FieldMatrix,
     feasible_pi_d,
     feasible_pi_e,
+    int_divmod,
     is_permutation,
     mat_inverse,
     mat_rank,
@@ -134,6 +135,17 @@ def test_matrix_rejects_non_integer_entries():
         with pytest.raises(ValueError):
             FieldMatrix(entries, 3)
     assert FieldMatrix([[4.0, 2], [0, -1]], 3) == FieldMatrix(np.array([[1, 2], [0, 2]], dtype=np.int8), 3)
+
+
+def test_int_divmod_matches_numpy_divmod():
+    # negative values, values far above the modulus, batched shapes
+    rng = np.random.default_rng(41)
+    for modulus in (2, 3, 257, (1 << 31) - 1):
+        for shape in ((), (7,), (3, 4, 5)):
+            x = rng.integers(-(1 << 40), 1 << 40, size=shape)
+            for got, want in zip(int_divmod(x, modulus), np.divmod(x, modulus)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 def test_residual_submatrix_indexing():

@@ -1,5 +1,6 @@
 import itertools
 
+import exact_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,24 @@ def test_embedding_is_group_homomorphism():
             c[0] * real_embed(x) + c[1] * real_embed(y) + c[2] * real_embed(w),
             atol=1e-9,
         )
+
+
+def test_combine_matches_the_full_code_word_reference():
+    # digits and integer parts bit for bit against the carries formed over
+    # every code word coordinate: parity rows, large coefficients, negative
+    # integer parts, batched points
+    rng = np.random.default_rng(41)
+    for gamma, n, kMax in ((2, 2, 2), (2, 5, 2), (3, 8, 8), (3, 8, 5), (5, 6, 3), (7, 4, 4), (7, 3, 1), (257, 9, 4)):
+        spec = make_chain_spec(gamma, n, kMax, rng=rng)
+        for batch in ((), (5,), (2, 3)):
+            for count in (1, 2, 3, 4):
+                points = [rand_point(spec, rng, batch=batch, int_range=50) for _ in range(count)]
+                coeffs = rng.integers(-300, 301, size=count)
+                got = combine(points, coeffs)
+                digits, ints = exact_oracle.combine(points, coeffs)
+                for a, b in ((got.digits, digits), (got.ints, ints)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    np.testing.assert_array_equal(a, b)
 
 
 def test_representation_unique_exhaustive():

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import exact_oracle
 from ccfrelay.errors import SingularResidualError, SpecMismatchError
 from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, point_sub
+from ccfrelay.optimizer import _feasible_perms
 from ccfrelay.pipeline import SchemeAssignment, compress, relay_combination
 from ccfrelay.recovery import srm, srmq, srq
 from ccfrelay.verify import encode_all, random_assignment, random_messages, relay_outputs
@@ -185,6 +187,136 @@ def test_greedy_permutations_keep_every_iteration_solvable():
         asg, t = exact_case(rng, gamma, 4, L, common_shaping=False)
         v = relay_outputs(t, asg)
         srmq(v, None, asg)  # raises SingularResidualError on any failure
+
+
+def _oracle_assignment(rng, gamma, L, common_shaping):
+    """Random assignment on a chain with kMax in [L, L + 3) and one to
+    three random parity rows (n > kMax)."""
+    kMax = int(rng.integers(L, L + 3))
+    asg = random_assignment(rng, gamma, kMax, L, common_shaping=common_shaping)
+    return replace(asg, spec=make_chain_spec(gamma, kMax + int(rng.integers(1, 4)), kMax, rng=rng))
+
+
+def _messages(rng, asg, batch):
+    """Random message digits of every source with the given batch shape."""
+    return [rng.integers(0, asg.spec.gamma, size=batch + (asg.message_length(l),)) for l in range(1, asg.L + 1)]
+
+
+def _oracle_dithers(rng, asg, batch):
+    """One random dither per source inside its codebook slice, or None (the
+    zero dither) for about a third of the sources."""
+    dithers = []
+    for l in range(1, asg.L + 1):
+        d = np.zeros(batch + (asg.spec.kMax,), dtype=np.int64)
+        lo, hi = asg.shaping_level(l), asg.coding_level(l)
+        d[..., lo:hi] = rng.integers(0, asg.spec.gamma, size=batch + (hi - lo,))
+        zeros = np.zeros(batch + (asg.spec.n,), dtype=np.int64)
+        dithers.append(None if rng.random() < 1 / 3 else ChainPoint(asg.spec, d, zeros))
+    return dithers
+
+
+def _outcome(algo, *args):
+    """The recovered points, or the phase and iteration of the
+    SingularResidualError raised."""
+    try:
+        return algo(*args)
+    except SingularResidualError as exc:
+        return (exc.phase, exc.iteration)
+
+
+def _assert_bit_equal(got, ref):
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        for a, b in ((g.digits, r.digits), (g.ints, r.ints)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@pytest.mark.parametrize("gamma", [2, 3, 5, 7, 257])
+def test_recovery_matches_the_full_array_reference(gamma, L):
+    # every output must be the sent codeword and bit-equal to the
+    # reference, which runs every cancellation on the whole digit array
+    rng = np.random.default_rng((gamma, L, 1))
+    for batch, dithered in itertools.product(((), (6,), (2, 3)), (False, True)):
+        asg = _oracle_assignment(rng, gamma, L, common_shaping=True)
+        t = encode_all(_messages(rng, asg, batch), asg)
+        c = asg.shapingLevels[0]
+        v = relay_outputs(t, asg, common_shaping_level=c)
+        got = srq(v, asg, c)
+        _assert_bit_equal(got, exact_oracle.srq(v, asg, c))
+        assert got == t
+
+        asg = _oracle_assignment(rng, gamma, L, common_shaping=False)
+        t = encode_all(_messages(rng, asg, batch), asg)
+        dithers = _oracle_dithers(rng, asg, batch) if dithered else None
+        # sources send x = [t - d] mod shaping; recovery returns x
+        x = list(t)
+        for l, d in enumerate(dithers or (), 1):
+            if d is not None:
+                x[l - 1] = mod_level(point_sub(t[l - 1], d), asg.shaping_level(l))
+        v = [mod_level(relay_combination(x, m, asg), asg.modulo_level_of(m)) for m in range(1, L + 1)]
+        got = srm(v, dithers, asg)
+        _assert_bit_equal(got, exact_oracle.srm(v, dithers, asg))
+        assert got == x
+        v = relay_outputs(x, asg)
+        got = srmq(v, dithers, asg)
+        _assert_bit_equal(got, exact_oracle.srmq(v, dithers, asg))
+        assert got == x
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("gamma", [2, 3, 5])
+def test_infeasible_permutations_fail_where_the_reference_fails(gamma, L):
+    # random pi_d and pi_e: recovery must raise exactly when _feasible_perms
+    # rejects the pair, in the reference's phase and iteration
+    rng = np.random.default_rng((gamma, L, 2))
+    raised = 0
+    for _ in range(12):
+        asg = _oracle_assignment(rng, gamma, L, common_shaping=False)
+        asg = replace(asg, pi_d=tuple(rng.permutation(L) + 1), pi_e=tuple(rng.permutation(L) + 1))
+        feasible = [
+            _feasible_perms(asg.A[None], np.array([pi]), np.array([perm]), gamma, kind)[0, 0]
+            for pi, perm, kind in ((asg.pi_c, asg.pi_d, "d"), (asg.pi_s, asg.pi_e, "e"))
+        ]
+        dithers = _oracle_dithers(rng, asg, (4,))
+        t = encode_all(random_messages(rng, asg, 4), asg)
+        v = relay_outputs(t, asg)
+        c = asg.shapingLevels[0]
+        for algo, args, phase in (
+            (srq, (v, asg, c), "quantization"),
+            (srm, (v, dithers, asg), "modulo"),
+            (srmq, (v, dithers, asg), "quantization" if not feasible[0] else "modulo"),
+        ):
+            got = _outcome(algo, *args)
+            _assert_bit_equal(got, _outcome(getattr(exact_oracle, algo.__name__), *args))
+            ok = feasible[phase == "modulo"] and (algo is not srmq or all(feasible))
+            assert isinstance(got, list) == ok
+            if not ok:
+                assert got[0] == phase
+                raised += 1
+    assert raised > 0
+
+
+def test_recovery_rejects_out_of_range_levels():
+    asg = _fixed_assignment(A=np.array([[1, 1], [1, 2]]))
+    t = encode_all(random_messages(np.random.default_rng(13), asg, 4), asg)
+    coarsest = asg.codingLevels[-1]
+    for c in (-5, -1, coarsest + 1, 99):
+        with pytest.raises(ValueError):
+            srq(relay_outputs(t, asg, common_shaping_level=0), asg, c)
+    for c in (0, coarsest):
+        assert srq(relay_outputs(t, asg, common_shaping_level=c), asg, c) == [mod_level(t_l, c) for t_l in t]
+    v = [mod_level(relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in (1, 2)]
+    finest_shaping = asg.shapingLevels[0]
+    for level in (-1, 0, finest_shaping - 1, asg.spec.kMax + 1, 99):
+        with pytest.raises(ValueError):
+            srm(v, None, asg, fine_level=level)
+    for level in (finest_shaping, asg.codingLevels[0] - 1, asg.spec.kMax):
+        assert srm(v, None, asg, fine_level=level) == exact_oracle.srm(v, None, asg, fine_level=level)
 
 
 def _point_record(x: ChainPoint) -> str:
