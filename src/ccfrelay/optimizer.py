@@ -45,7 +45,6 @@ from .galois import (
 from .lattice import make_chain_spec
 from .pipeline import ChannelInstance, SchemeAssignment
 from .rates import (
-    VARIANTS,
     RateReport,
     _fold,
     computation_rate,
@@ -53,17 +52,15 @@ from .rates import (
     second_hop_region,
 )
 
-SCHEMES = ("scf", "scf-q", "acf", "acf-m", "acf-mq")
-
-_SCHEME_VARIANT = {
-    "scf": "symmetric",
-    "scf-q": "srq",
-    "acf": "symmetric",
-    "acf-m": "srm",
-    "acf-mq": "srmq",
+# scheme -> (rate variant, whether all sources share one power)
+_SCHEME_ROWS = {
+    "scf": ("symmetric", True),
+    "scf-q": ("srq", True),
+    "acf": ("symmetric", False),
+    "acf-m": ("srm", False),
+    "acf-mq": ("srmq", False),
 }
-
-_COMMON_POWER = {"scf": True, "scf-q": True, "acf": False, "acf-m": False, "acf-mq": False}
+SCHEMES = tuple(_SCHEME_ROWS)
 
 # Array elements per block of the batched evaluator.  The largest
 # temporaries hold 2 L^3 elements per grid row in coefficient selection
@@ -522,13 +519,12 @@ class _Grid:
                 yield kd, caps[sigma] - hl[:, self.perms[:, sigma] - 1, np.arange(self.L)]
 
     def evaluate(self, variant, rows=slice(None)):
-        """Best (value, row, meta) over the grid rows of the slice ``rows``
-        and feasible (pi_d, pi_e); ``row`` indexes the whole grid.
+        """Best (value, row, pi_d, pi_e) over the grid rows of the slice
+        ``rows`` and feasible (pi_d, pi_e); ``row`` indexes the whole grid,
+        and a permutation the variant does not search is the identity.
 
         Ties go to the lexicographically largest rate tuple, then to the
         first candidate in (row, pi_d, pi_e) order."""
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
         feas_d = self._feasibility("d") if variant in ("srq", "srmq") else None
         feas_e = self._feasibility("e") if variant in ("srm", "srmq") else None
         best = None
@@ -555,19 +551,9 @@ class _Grid:
                     best = (key, order)
         if best is None:
             return None
+        # kd and ke stay 0, the identity's index, where nothing is searched
         (value, _), (row, kd, ke) = best
-        meta = {
-            "variant": variant,
-            "pi_d": tuple(self.perms[kd].tolist()) if feas_d is not None else None,
-            "pi_e": tuple(self.perms[ke].tolist()) if feas_e is not None else None,
-        }
-        return value, row, meta
-
-    def winner(self, row, meta):
-        identity = tuple(range(1, self.L + 1))
-        pi_c = tuple(self.pi_c[row].tolist())
-        pi_s = tuple(self.pi_s[row].tolist())
-        return self.p[row], self.A[row], pi_c, pi_s, meta["pi_d"] or identity, meta["pi_e"] or identity
+        return value, row, tuple(self.perms[kd].tolist()), tuple(self.perms[ke].tolist())
 
 
 def nominal_assignment(L, gamma, pi_c, pi_s, pi_d, pi_e, A, powers, budgets) -> SchemeAssignment:
@@ -638,21 +624,22 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
     caps = np.asarray(region.perRelayCapacity, dtype=float)
     # each needed grid, in first-use order, and its slice of the stacked rows
     grids, spans, start = [], {}, 0
-    for common in dict.fromkeys(_COMMON_POWER[s] for s in schemes):
+    for common in dict.fromkeys(_SCHEME_ROWS[s][1] for s in schemes):
         grids.append(_grid_rows(channel.P, common, config))
         spans[common] = slice(start, start + len(grids[-1]))
         start = spans[common].stop
     ctx = _Grid(channel.H, caps, np.concatenate(grids), config.gammaOpt)
     results = {}
     for scheme in schemes:
-        variant = _SCHEME_VARIANT[scheme]
-        picked = ctx.evaluate(variant, spans[_COMMON_POWER[scheme]])
+        variant, common = _SCHEME_ROWS[scheme]
+        picked = ctx.evaluate(variant, spans[common])
         if picked is None:
             results[scheme] = (None, _zero_report(L))
             continue
-        _, row, meta = picked
-        p, A, pi_c, pi_s, pi_d, pi_e = ctx.winner(row, meta)
-        asg = nominal_assignment(L, config.gammaOpt, pi_c, pi_s, pi_d, pi_e, A, p, channel.P)
+        _, row, pi_d, pi_e = picked
+        asg = nominal_assignment(
+            L, config.gammaOpt, ctx.pi_c[row], ctx.pi_s[row], pi_d, pi_e, ctx.A[row], ctx.p[row], channel.P
+        )
         report = max_rates_given_structure(asg, channel.H, region, variant)
         results[scheme] = (asg, report)
     return results

@@ -76,22 +76,28 @@ class SchemeAssignment:
     def L(self) -> int:
         return len(self.pi_c)
 
+    def index0(self, i: int) -> int:
+        """0-based position of the 1-based source or relay index i."""
+        if not 1 <= i <= self.L:
+            raise ValueError(f"index {i} outside 1..{self.L}")
+        return i - 1
+
     @functools.cached_property
     def field_image(self) -> FieldMatrix:
         """The coefficient matrix reduced into F_gamma."""
         return FieldMatrix(self.A, self.spec.gamma)
 
     def coding_level(self, l: int) -> int:
-        return self.codingLevels[self.pi_c[l - 1] - 1]
+        return self.codingLevels[self.pi_c[self.index0(l)] - 1]
 
     def shaping_level(self, l: int) -> int:
-        return self.shapingLevels[self.pi_s[l - 1] - 1]
+        return self.shapingLevels[self.pi_s[self.index0(l)] - 1]
 
     def quantize_level_of(self, m: int) -> int:
-        return self.codingLevels[self.pi_d[m - 1] - 1]
+        return self.codingLevels[self.pi_d[self.index0(m)] - 1]
 
     def modulo_level_of(self, m: int) -> int:
-        return self.shapingLevels[self.pi_e[m - 1] - 1]
+        return self.shapingLevels[self.pi_e[self.index0(m)] - 1]
 
     def level_pair(self, l: int) -> LevelPair:
         return LevelPair(self.coding_level(l), self.shaping_level(l))
@@ -144,7 +150,7 @@ def relay_combination(t, m: int, asg: SchemeAssignment) -> ChainPoint:
         raise ValueError(f"expected {asg.L} codewords, got {len(t)}")
     if any(t_l.spec != asg.spec for t_l in t):
         raise SpecMismatchError("codeword spec differs from assignment spec")
-    return combine(t, asg.A[m - 1])
+    return combine(t, asg.A[asg.index0(m)])
 
 
 def compress(delta: ChainPoint, m: int, asg: SchemeAssignment) -> ChainPoint:
@@ -188,7 +194,7 @@ def mmse_noise_power(h_m, a_m, p):
 
 def finest_participating_level(m: int, asg: SchemeAssignment) -> int:
     """Digit level of the finest coding lattice among sources relay m combines."""
-    levels = [asg.coding_level(l) for l in range(1, asg.L + 1) if asg.A[m - 1, l - 1] != 0]
+    levels = [asg.coding_level(l) for l, a_ml in enumerate(asg.A[asg.index0(m)], 1) if a_ml != 0]
     if not levels:
         return 0
     return max(levels)
@@ -205,7 +211,7 @@ def noisy_compute_demo(t, m: int, asg: SchemeAssignment, H, noise_std: float, rn
     spec = asg.spec
     H = np.asarray(H, dtype=float)
     h = H[m - 1]
-    a = asg.A[m - 1].astype(float)
+    a = asg.A[asg.index0(m)].astype(float)
     p = np.asarray(asg.powers, dtype=float)
     # noise-matched scaling: with variance noise_std^2 instead of the unit
     # variance assumed by mmse_alpha, so vanishing noise gives alpha -> 1

@@ -58,6 +58,8 @@ def _relay_digits(v, asg: SchemeAssignment) -> np.ndarray:
 
 def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> np.ndarray:
     """Stacked dither digits; None (for the list or an entry) is the zero dither."""
+    if dithers is not None and len(dithers) != asg.L:
+        raise ValueError(f"expected {asg.L} dithers, got {len(dithers)}")
     D = np.zeros((asg.L,) + batch + (asg.spec.kMax,), dtype=np.int64)
     for l, d in enumerate(dithers or ()):
         if d is not None:

@@ -200,11 +200,14 @@ class ScalarRows:
         return self._pi_e_cache[key]
 
     def evaluate(self, variant):
+        """Best (value, row, pi_d, pi_e), with the identity for a
+        permutation the variant does not search."""
         L = self.L
         caps = self.caps
+        identity = tuple(range(1, L + 1))
         best = None
 
-        def push(row_idx, row, bounds, meta):
+        def push(row_idx, row, bounds, pi_d=identity, pi_e=identity):
             nonlocal best
             bounds = np.asarray(bounds, dtype=float)
             if np.any(bounds < 0):
@@ -212,7 +215,7 @@ class ScalarRows:
             r = np.maximum(np.minimum(row["r_comp"], bounds), 0.0)
             key = (float(np.sum(r)), tuple(r))
             if best is None or key > best[0]:
-                best = (key, row_idx, meta)
+                best = (key, row_idx, pi_d, pi_e)
 
         for idx, row in enumerate(self.rows):
             p = row["p"]
@@ -222,19 +225,19 @@ class ScalarRows:
                 pe = np.max(p)
                 off = 0.5 * np.log2(pe / p)
                 link_caps = np.min(np.where(mask, caps[:, None], np.inf), axis=0)
-                push(idx, row, link_caps - off, {"variant": variant, "pi_d": None, "pi_e": None})
+                push(idx, row, link_caps - off)
             elif variant == "srq":
                 for pd in self._feasible_pi_d_list(A, row["pi_c"]):
                     pd_inv = perm_inverse(pd)
                     sigma = [pd_inv[row["pi_c"][l] - 1] - 1 for l in range(L)]
-                    push(idx, row, caps[sigma], {"variant": variant, "pi_d": pd, "pi_e": None})
+                    push(idx, row, caps[sigma], pi_d=pd)
             elif variant == "srm":
                 pi_s_inv = perm_inverse(row["pi_s"])
                 for pe_perm in self._feasible_pi_e_list(A, row["pi_s"]):
                     pe_pow = np.array([p[pi_s_inv[pe_perm[m] - 1] - 1] for m in range(L)])
                     off = 0.5 * np.log2(pe_pow[:, None] / p[None, :])
                     bounds = np.min(np.where(mask, caps[:, None] - off, np.inf), axis=0)
-                    push(idx, row, bounds, {"variant": variant, "pi_d": None, "pi_e": pe_perm})
+                    push(idx, row, bounds, pi_e=pe_perm)
             elif variant == "srmq":
                 pi_s_inv = perm_inverse(row["pi_s"])
                 for pd in self._feasible_pi_d_list(A, row["pi_c"]):
@@ -245,19 +248,9 @@ class ScalarRows:
                         bounds = np.array(
                             [caps[sigma[l]] - 0.5 * np.log2(pe_pow[sigma[l]] / p[l]) for l in range(L)]
                         )
-                        push(idx, row, bounds, {"variant": variant, "pi_d": pd, "pi_e": pe_perm})
+                        push(idx, row, bounds, pd, pe_perm)
             else:
                 raise ConfigError(f"unknown variant {variant!r}")
         if best is None:
             return None
-        return best[0][0], best[1], best[2]
-
-    def winner(self, row_idx, meta):
-        row = self.rows[row_idx]
-        p = row["p"]
-        A = row["A"]
-        pi_c = row["pi_c"]
-        pi_s = row["pi_s"]
-        pi_d = meta.get("pi_d") or tuple(range(1, self.L + 1))
-        pi_e = meta.get("pi_e") or tuple(range(1, self.L + 1))
-        return p, A, pi_c, pi_s, pi_d, pi_e
+        return best[0][0], *best[1:]

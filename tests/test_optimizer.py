@@ -10,8 +10,7 @@ from ccfrelay import optimizer
 from ccfrelay.errors import ConfigError, NotFullRankError, ReductionError
 from ccfrelay.galois import FieldMatrix, mat_rank, residual_sets, residual_submatrix
 from ccfrelay.optimizer import (
-    _COMMON_POWER,
-    _SCHEME_VARIANT,
+    _SCHEME_ROWS,
     OptimizerConfig,
     _feasible_perms,
     _gram,
@@ -33,8 +32,11 @@ from ccfrelay.optimizer import (
     satisfies_lovasz,
     select_coefficients,
 )
-from ccfrelay.pipeline import ChannelInstance, mmse_noise_power
+from ccfrelay.lattice import mod_level
+from ccfrelay.pipeline import ChannelInstance, compress, mmse_noise_power, relay_combination
 from ccfrelay.rates import second_hop_region
+from ccfrelay.recovery import srm, srmq
+from ccfrelay.verify import encode_all, random_messages
 from scalar_oracle import (
     ScalarRows,
     gram_matrix,
@@ -438,8 +440,9 @@ def test_batched_matches_scalar_oracle(L, nBrute, draws):
                 assert (f is None) == (s is None)
                 if f is None:
                     continue
-                assert f[0] == s[0] and f[1] == s[1]
-                assert fast.winner(f[1], f[2])[2:] == slow.winner(s[1], s[2])[2:]
+                assert f == s
+                assert tuple(fast.pi_c[f[1]].tolist()) == slow.rows[s[1]]["pi_c"]
+                assert tuple(fast.pi_s[f[1]].tolist()) == slow.rows[s[1]]["pi_s"]
 
 
 def test_grid_blocks_bound_memory_and_keep_winners(monkeypatch):
@@ -505,9 +508,9 @@ def test_stacked_grid_slices_match_separate_grids(monkeypatch, L, nBrute, max_ro
                     assert (got is None) == (want is None)
                     if want is None:
                         continue
-                    assert got[0] == want[0] and got[1] == start + want[1] and got[2] == want[2]
-                    for a, b in zip(stacked.winner(got[1], got[2]), ctx.winner(want[1], want[2])):
-                        assert np.array_equal(a, b)
+                    assert got == (want[0], start + want[1], *want[2:])
+                    for name in ("p", "A", "pi_c", "pi_s"):
+                        assert np.array_equal(getattr(stacked, name)[got[1]], getattr(ctx, name)[want[1]])
                 start = span.stop
 
 
@@ -572,11 +575,34 @@ def test_reported_rates_match_search_value(L, nBrute):
         }
         for scheme, (asg, report) in evaluate_all(ch, cfg).items():
             assert report.feasible
-            picked = contexts[_COMMON_POWER[scheme]].evaluate(_SCHEME_VARIANT[scheme])
+            variant, common = _SCHEME_ROWS[scheme]
+            picked = contexts[common].evaluate(variant)
             if picked is None:
                 assert asg is None and report.sumRate == 0.0
             else:
                 assert abs(picked[0] - report.sumRate) <= 1e-9
+
+
+@pytest.mark.parametrize("L,nBrute,draws", [(2, 20, 30), (3, 5, 20), (4, 3, 10)])
+def test_winners_recover_exactly(L, nBrute, draws):
+    # each acf-m / acf-mq winner is an assignment its own recovery runs on:
+    # random messages encoded on its chain come back bit for bit from the
+    # relay outputs (srm: each combination modulo its relay's lattice;
+    # srmq: the compressed combinations)
+    cfg = OptimizerConfig(nBrute=nBrute)
+    rng = np.random.default_rng(31 + L)
+    for _ in range(draws):
+        P = np.full(L, 10 ** rng.uniform(1.0, 2.4))
+        ch = ChannelInstance(rng.normal(size=(L, L)), rng.normal(size=L), P, 0.25 * P)
+        for scheme, (asg, _) in evaluate_all(ch, cfg, ("acf-m", "acf-mq")).items():
+            assert asg is not None
+            t = encode_all(random_messages(rng, asg, 8), asg)
+            combos = [relay_combination(t, m, asg) for m in range(1, L + 1)]
+            if scheme == "acf-m":
+                got = srm([mod_level(c, asg.modulo_level_of(m)) for m, c in enumerate(combos, 1)], None, asg)
+            else:
+                got = srmq([compress(c, m, asg) for m, c in enumerate(combos, 1)], None, asg)
+            assert got == t
 
 
 def test_scheme_dominance_random_draws():

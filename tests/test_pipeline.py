@@ -176,6 +176,24 @@ def test_finest_participating_level():
     assert finest_participating_level(2, empty_row) == empty_row.coding_level(2)
 
 
+@pytest.mark.parametrize("index", [0, -1, 4])
+@pytest.mark.parametrize("entry", ["source_encode", "relay_combination", "compress", "finest_participating_level"])
+def test_out_of_range_index_rejected(entry, index):
+    # indexes are 1-based: 0 and -1 must not wrap to relay or source L
+    # (or L - 1), nor L + 1 end in a bare IndexError
+    rng = np.random.default_rng(11)
+    asg = random_assignment(rng, 3, 6, 3, common_shaping=False)
+    t = encode_all(random_messages(rng, asg, 2), asg)
+    calls = {
+        "source_encode": lambda: source_encode(rng.integers(0, 3, size=(2, asg.message_length(3))), index, asg),
+        "relay_combination": lambda: relay_combination(t, index, asg),
+        "compress": lambda: compress(relay_combination(t, 1, asg), index, asg),
+        "finest_participating_level": lambda: finest_participating_level(index, asg),
+    }
+    with pytest.raises(ValueError, match=rf"index {index} outside 1\.\.3"):
+        calls[entry]()
+
+
 def _demo_error_rate(noise_std, trials, seed):
     rng = np.random.default_rng(seed)
     asg = random_assignment(rng, gamma=3, n=2, L=2)

@@ -144,6 +144,19 @@ def test_wrong_relay_count_rejected():
         srq(v[:1], asg, c)
 
 
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("point", [False, True])
+@pytest.mark.parametrize("algo", [srm, srmq])
+def test_wrong_dither_count_rejected(algo, point, count):
+    # a short list must not read as zero dithers for the missing sources,
+    # nor a long one end in a bare IndexError
+    rng = np.random.default_rng(12)
+    asg, t = exact_case(rng, 3, 4, 3, common_shaping=False)
+    zero = ChainPoint(asg.spec, np.zeros((32, 4), dtype=np.int64), np.zeros((32, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match=f"expected 3 dithers, got {count}"):
+        algo(relay_outputs(t, asg), [zero if point else None] * count, asg)
+
+
 def test_spec_mismatch_rejected():
     asg = _fixed_assignment(A=np.eye(2, dtype=np.int64))
     other = make_chain_spec(5, 4, 4)
