@@ -269,8 +269,8 @@ def _cmd_optimize(args) -> int:
             "sourceRates": list(report.sourceRates),
             "forwardingRates": list(report.forwardingRates),
             "limiting": list(report.limiting),
-            "powers": list(asg.powers) if asg is not None else None,
-            "coefficients": asg.A.tolist() if asg is not None else None,
+            "powers": list(asg.powers),
+            "coefficients": asg.A.tolist(),
         }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -13,11 +13,13 @@ restrict the search space:
 - acf-mq: acf plus searched quantization and modulo permutations
 
 One evaluator, ``_Grid``, runs the search of a channel draw at every size
-over the stacked power grids of all requested schemes (common power and
-per-source), in blocks of grid rows: coefficient selection, rates,
-permutation feasibility (computed once per distinct coefficient matrix
-and ordering) and the variant bounds, whose forwarding log-ratios are
-computed once per row for every variant.  Only coefficient selection
+over one power grid, the per-source mesh followed by the common-power
+rows; scf and scf-q search only the common-power rows, and the acf
+schemes every row, since p_l <= P_l admits a common power.  It works in
+blocks of grid rows: coefficient selection, rates, permutation
+feasibility (computed once per distinct coefficient matrix and ordering)
+and the variant bounds, whose forwarding log-ratios are computed once
+per row for every variant.  Only coefficient selection
 depends on L.  Each relay takes its smallest candidate row (reduced
 basis rows and unit vectors) in (metric, coordinates) that extends the
 rank over F_gamma: on (N,) columns after the exact two-dimensional
@@ -45,14 +47,13 @@ from .galois import (
 from .lattice import make_chain_spec
 from .pipeline import ChannelInstance, SchemeAssignment
 from .rates import (
-    RateReport,
     _fold,
     computation_rate,
     max_rates_given_structure,
     second_hop_region,
 )
 
-# scheme -> (rate variant, whether all sources share one power)
+# scheme -> (rate variant, whether it searches only the common-power rows)
 _SCHEME_ROWS = {
     "scf": ("symmetric", True),
     "scf-q": ("srq", True),
@@ -574,16 +575,6 @@ def nominal_assignment(L, gamma, pi_c, pi_s, pi_d, pi_e, A, powers, budgets) -> 
     )
 
 
-def _zero_report(L: int) -> RateReport:
-    return RateReport(
-        sourceRates=(0.0,) * L,
-        forwardingRates=(0.0,) * L,
-        sumRate=0.0,
-        feasible=True,
-        limiting=("computation-limited",) * L,
-    )
-
-
 def _grid_rows(budgets, common: bool, config: OptimizerConfig) -> np.ndarray:
     L = len(budgets)
     if common:
@@ -612,34 +603,32 @@ def check_schemes(schemes) -> tuple:
 def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHEMES):
     """Evaluate the requested schemes on one channel draw.
 
-    One evaluator runs over the stacked power grids of the schemes, so
+    One evaluator runs over one grid, the per-source mesh (when a
+    per-source scheme is requested) followed by the common-power rows, so
     coefficient selection, ranking and feasibility run once per draw and
-    the comparisons are paired.  Returns {scheme: (assignment, report)},
-    with a zero-rate fallback assignment of None when nothing is feasible."""
+    the comparisons are paired.  The common-power schemes search the
+    common-power rows, the others every row.  Returns {scheme:
+    (assignment, report)}; every scheme has an assignment."""
     schemes = check_schemes(schemes)
     if not schemes:
         return {}
     L = channel.L
     region = second_hop_region(channel.g, channel.P_R)
     caps = np.asarray(region.perRelayCapacity, dtype=float)
-    # each needed grid, in first-use order, and its slice of the stacked rows
-    grids, spans, start = [], {}, 0
-    for common in dict.fromkeys(_SCHEME_ROWS[s][1] for s in schemes):
-        grids.append(_grid_rows(channel.P, common, config))
-        spans[common] = slice(start, start + len(grids[-1]))
-        start = spans[common].stop
+    common = _grid_rows(channel.P, True, config)
+    grids = [common]
+    if not all(_SCHEME_ROWS[s][1] for s in schemes):
+        # the mesh first: exact ties go to the earlier row
+        grids.insert(0, _grid_rows(channel.P, False, config))
     ctx = _Grid(channel.H, caps, np.concatenate(grids), config.gammaOpt)
     results = {}
     for scheme in schemes:
-        variant, common = _SCHEME_ROWS[scheme]
-        picked = ctx.evaluate(variant, spans[common])
-        if picked is None:
-            results[scheme] = (None, _zero_report(L))
-            continue
-        _, row, pi_d, pi_e = picked
+        variant, common_only = _SCHEME_ROWS[scheme]
+        # a common-power row has no forwarding offsets, and its full-rank A
+        # has a feasible (pi_d, pi_e), so every scheme has a winner
+        _, row, pi_d, pi_e = ctx.evaluate(variant, slice(-len(common), None) if common_only else slice(None))
         asg = nominal_assignment(
             L, config.gammaOpt, ctx.pi_c[row], ctx.pi_s[row], pi_d, pi_e, ctx.A[row], ctx.p[row], channel.P
         )
-        report = max_rates_given_structure(asg, channel.H, region, variant)
-        results[scheme] = (asg, report)
+        results[scheme] = (asg, max_rates_given_structure(asg, channel.H, region, variant))
     return results

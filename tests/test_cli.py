@@ -1,4 +1,5 @@
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from ccfrelay.cli import (
     run_sweep,
 )
 from ccfrelay.errors import ConfigError, DecodeFailure
+from ccfrelay.optimizer import SCHEMES
 
 
 def small_config(**kw):
@@ -355,6 +357,20 @@ def test_main_optimize(tmp_path, capsys):
     out = capsys.readouterr().out
     assert '"scf"' in out and '"sumRate"' in out
     assert main(["optimize"]) == EXIT_CONFIG
+
+
+def test_main_optimize_unequal_budgets(tmp_path, capsys):
+    # the per-source mesh lacks the common-power rows here; acf searches
+    # them too, so it scores no less than scf, and every scheme reports
+    # its powers and coefficients
+    cfg = tmp_path / "chan.cfg"
+    cfg.write_text("H = 1.3 1.0; -2.7 -1.9\ng = -0.2 -0.4\nP = 6.4 220.2\nP_R = 28.3 28.3\n", encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == list(SCHEMES)
+    assert out["acf"]["sumRate"] >= out["scf"]["sumRate"]
+    for entry in out.values():
+        assert len(entry["powers"]) == 2 and np.array(entry["coefficients"]).shape == (2, 2)
 
 
 @pytest.mark.parametrize(

@@ -480,7 +480,7 @@ def test_grid_blocks_bound_memory_and_keep_winners(monkeypatch):
 @pytest.mark.parametrize("budget", [None, 1 << 10])
 @pytest.mark.parametrize("L,nBrute,max_rows", [(2, 7, 30), (3, 5, 100), (4, 3, 50)])
 def test_stacked_grid_slices_match_separate_grids(monkeypatch, L, nBrute, max_rows, budget):
-    # evaluate_all stacks the common-power and per-source grids into one
+    # evaluate_all stacks the per-source and common-power grids into one
     # _Grid.  Every per-row computation is row-independent, so each slice,
     # in either stacking order and whatever the block size, must give what
     # a _Grid built on its grid alone gives.  The mesh is shrunk below
@@ -542,7 +542,7 @@ def test_bounds_match_direct_log_ratios(L):
 
 def test_evaluate_all_selects_once_per_draw(monkeypatch):
     # the five schemes share one grid: coefficient selection runs once,
-    # over the 5 common-power rows and the 125 mesh rows together
+    # over the 125 mesh rows and the 5 common-power rows together
     calls = []
     select = _Grid._select
 
@@ -555,7 +555,7 @@ def test_evaluate_all_selects_once_per_draw(monkeypatch):
     rng = np.random.default_rng(21)
     ch = ChannelInstance(rng.normal(size=(3, 3)), rng.normal(size=3), np.full(3, 40.0), np.full(3, 10.0))
     assert list(evaluate_all(ch, cfg)) == list(optimizer.SCHEMES)
-    assert calls == [5 + 125]
+    assert calls == [125 + 5]
 
 
 @pytest.mark.parametrize("L,nBrute", [(2, 10), (3, 10), (4, 6)])
@@ -569,18 +569,15 @@ def test_reported_rates_match_search_value(L, nBrute):
         g = rng.normal(size=L)
         ch = ChannelInstance(H, g, np.full(L, 50.0), np.full(L, 12.5))
         caps = np.asarray(second_hop_region(ch.g, ch.P_R).perRelayCapacity)
-        contexts = {
-            common: _Grid(ch.H, caps, _grid_rows(ch.P, common, cfg), cfg.gammaOpt)
-            for common in (True, False)
-        }
-        for scheme, (asg, report) in evaluate_all(ch, cfg).items():
+        # evaluate_all's grid: the per-source mesh, then the common-power
+        # rows, which alone are searched by the common-power schemes
+        common = _grid_rows(ch.P, True, cfg)
+        ctx = _Grid(ch.H, caps, np.concatenate([_grid_rows(ch.P, False, cfg), common]), cfg.gammaOpt)
+        for scheme, (_, report) in evaluate_all(ch, cfg).items():
             assert report.feasible
-            variant, common = _SCHEME_ROWS[scheme]
-            picked = contexts[common].evaluate(variant)
-            if picked is None:
-                assert asg is None and report.sumRate == 0.0
-            else:
-                assert abs(picked[0] - report.sumRate) <= 1e-9
+            variant, common_only = _SCHEME_ROWS[scheme]
+            picked = ctx.evaluate(variant, slice(-len(common), None) if common_only else slice(None))
+            assert abs(picked[0] - report.sumRate) <= 1e-9
 
 
 @pytest.mark.parametrize("L,nBrute,draws", [(2, 20, 30), (3, 5, 20), (4, 3, 10)])
@@ -621,6 +618,39 @@ def test_scheme_dominance_random_draws():
         assert res["acf-m"] <= res["acf-mq"] + tol
 
 
+@pytest.mark.parametrize(
+    "budgets,L,nBrute,draws,max_rows,seed",
+    [
+        ("unequal", 2, 20, 30, None, 43),
+        ("unequal", 3, 5, 20, None, 44),
+        ("unequal", 4, 3, 10, None, 45),
+        # the mesh axis (10) is shorter than nBrute (20)
+        ("equal", 3, 20, 12, 1000, 46),
+    ],
+)
+def test_scheme_dominance_over_common_power_rows(monkeypatch, budgets, L, nBrute, draws, max_rows, seed):
+    # the acf schemes may send at any p_l <= P_l, a set that holds scf's
+    # common power, also when the per-source mesh does not hold those rows
+    # (unequal budgets, or a mesh axis cut below nBrute).  By construction:
+    # scf <= acf (the same variant on more rows), acf <= acf-m (srm's
+    # offsets never exceed the symmetric ones) and scf-q <= acf-mq (on a
+    # common-power row srmq is srq plus some feasible pi_e)
+    if max_rows is not None:
+        monkeypatch.setattr(optimizer, "_MAX_GRID_ROWS", max_rows)
+    cfg = OptimizerConfig(nBrute=nBrute)
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        P = 10 ** rng.uniform(0.5, 2.4, size=L if budgets == "unequal" else 1) * np.ones(L)
+        ch = ChannelInstance(rng.normal(size=(L, L)), rng.normal(size=L), P, np.full(L, np.mean(P) / 4))
+        results = evaluate_all(ch, cfg)
+        assert all(asg is not None for asg, _ in results.values())
+        res = {s: rep.sumRate for s, (_, rep) in results.items()}
+        tol = 1e-9
+        assert res["scf"] <= res["acf"] + tol
+        assert res["acf"] <= res["acf-m"] + tol
+        assert res["scf-q"] <= res["acf-mq"] + tol
+
+
 def test_determinism():
     cfg = OptimizerConfig(nBrute=12)
     ch = ChannelInstance(
@@ -640,7 +670,7 @@ def test_evaluate_all_scheme_subset():
     assert list(results) == ["acf-mq"]
     asg, report = results["acf-mq"]
     assert report.sumRate == evaluate_all(ch, cfg)["acf-mq"][1].sumRate
-    assert asg is None or mat_rank(asg.field_image) == 2
+    assert mat_rank(asg.field_image) == 2
     with pytest.raises(ConfigError):
         evaluate_all(ch, cfg, ("bogus",))
 
