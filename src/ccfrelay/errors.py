@@ -51,8 +51,8 @@ class InfeasibleStructureError(CCFError):
 
 
 class ReductionError(CCFError):
-    """A lattice reduction did not converge, or its steps left the int64
-    range: the floating-point metric has lost its precision."""
+    """A lattice reduction did not converge, its steps left the int64 range
+    or its metric is not finite: the floating-point metric lost its precision."""
 
 
 class ConfigError(CCFError):

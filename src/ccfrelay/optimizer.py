@@ -68,7 +68,9 @@ SCHEMES = tuple(_SCHEME_ROWS)
 # (candidate rows of every relay), L! * L * L in the bounds (every pi_e) and
 # 4^L + L! * L per distinct coefficient matrix in the feasibility (minors and
 # feasible permutations), so blocks take as many rows as fit this budget:
-# about 8 MiB per float temporary, whatever L and the mesh size.
+# about 8 MiB per float temporary, whatever the mesh size.  A block holds at
+# least one row, so evaluate_all rejects the L whose one row of bounds
+# exceeds the budget (L! * L * L > _BLOCK_ELEMS, L >= 8).
 _BLOCK_ELEMS = 1 << 20
 
 
@@ -105,11 +107,17 @@ def _gram(H, p_rows) -> np.ndarray:
 
     H: (L_relays, L) channel rows; p_rows: (N, L) powers.  Returns (N,
     L_relays, L, L), with the operation order of the scalar closed form
-    (``np.vecdot`` is the same dot kernel as ``@`` on vectors)."""
-    ph = p_rows[:, None, :] * H[None]
-    denom = 1.0 + np.vecdot(H[None], ph)
-    diag = p_rows[:, None, :, None] * np.eye(H.shape[1])
-    return diag - ph[..., :, None] * ph[..., None, :] / denom[..., None, None]
+    (``np.vecdot`` is the same dot kernel as ``@`` on vectors).  Raises
+    ReductionError when an entry is not finite (the products overflowed),
+    since neither reduction can order such metrics."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ph = p_rows[:, None, :] * H[None]
+        denom = 1.0 + np.vecdot(H[None], ph)
+        diag = p_rows[:, None, :, None] * np.eye(H.shape[1])
+        D = diag - ph[..., :, None] * ph[..., None, :] / denom[..., None, None]
+    if not np.all(np.isfinite(D)):
+        raise ReductionError("the effective-noise metric is not finite: the channel and powers overflow")
+    return D
 
 
 def _gso(B: np.ndarray):
@@ -557,24 +565,6 @@ class _Grid:
         return value, row, tuple(self.perms[kd].tolist()), tuple(self.perms[ke].tolist())
 
 
-def nominal_assignment(L, gamma, pi_c, pi_s, pi_d, pi_e, A, powers, budgets) -> SchemeAssignment:
-    """Assignment over a placeholder chain: L strictly nested coding levels
-    above L strictly nested shaping levels."""
-    spec = make_chain_spec(gamma, 2 * L, 2 * L)
-    return SchemeAssignment(
-        spec=spec,
-        pi_c=pi_c,
-        pi_s=pi_s,
-        pi_d=pi_d,
-        pi_e=pi_e,
-        A=A,
-        codingLevels=tuple(range(2 * L, L, -1)),
-        shapingLevels=tuple(range(L, 0, -1)),
-        powers=tuple(powers),
-        budgets=tuple(budgets),
-    )
-
-
 def _grid_rows(budgets, common: bool, config: OptimizerConfig) -> np.ndarray:
     L = len(budgets)
     if common:
@@ -607,12 +597,18 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
     per-source scheme is requested) followed by the common-power rows, so
     coefficient selection, ranking and feasibility run once per draw and
     the comparisons are paired.  The common-power schemes search the
-    common-power rows, the others every row.  Returns {scheme:
-    (assignment, report)}; every scheme has an assignment."""
+    common-power rows, the others every row.  Each winner is rebuilt as an
+    assignment over one placeholder chain shared by the draw's winners (L
+    strictly nested coding levels above L strictly nested shaping levels)
+    with its analytic rate report.  Returns {scheme: (assignment, report)};
+    every scheme has an assignment.  L >= 8 is a configuration error: one
+    grid row's bounds would exceed the block budget."""
     schemes = check_schemes(schemes)
+    L = channel.L
+    if math.factorial(L) * L * L > _BLOCK_ELEMS:
+        raise ConfigError(f"L = {L} is too large for the optimizer, which supports L <= 7")
     if not schemes:
         return {}
-    L = channel.L
     region = second_hop_region(channel.g, channel.P_R)
     caps = np.asarray(region.perRelayCapacity, dtype=float)
     common = _grid_rows(channel.P, True, config)
@@ -621,14 +617,16 @@ def evaluate_all(channel: ChannelInstance, config: OptimizerConfig, schemes=SCHE
         # the mesh first: exact ties go to the earlier row
         grids.insert(0, _grid_rows(channel.P, False, config))
     ctx = _Grid(channel.H, caps, np.concatenate(grids), config.gammaOpt)
+    spec = make_chain_spec(config.gammaOpt, 2 * L, 2 * L)
+    coding, shaping, budgets = tuple(range(2 * L, L, -1)), tuple(range(L, 0, -1)), tuple(channel.P)
     results = {}
     for scheme in schemes:
         variant, common_only = _SCHEME_ROWS[scheme]
         # a common-power row has no forwarding offsets, and its full-rank A
         # has a feasible (pi_d, pi_e), so every scheme has a winner
         _, row, pi_d, pi_e = ctx.evaluate(variant, slice(-len(common), None) if common_only else slice(None))
-        asg = nominal_assignment(
-            L, config.gammaOpt, ctx.pi_c[row], ctx.pi_s[row], pi_d, pi_e, ctx.A[row], ctx.p[row], channel.P
+        asg = SchemeAssignment(
+            spec, ctx.pi_c[row], ctx.pi_s[row], pi_d, pi_e, ctx.A[row], coding, shaping, tuple(ctx.p[row]), budgets
         )
         results[scheme] = (asg, max_rates_given_structure(asg, channel.H, region, variant))
     return results

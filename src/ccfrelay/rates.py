@@ -28,7 +28,6 @@ class RateReport:
     sourceRates: tuple
     forwardingRates: tuple
     sumRate: float
-    feasible: bool
     limiting: tuple
 
     def __post_init__(self):
@@ -111,13 +110,16 @@ def _links(asg: SchemeAssignment, variant: str):
     return link, 0.5 * np.log2(p[coarse - 1]), 0.5 * np.log2(p)
 
 
-def forwarding_rates(asg: SchemeAssignment, r, variant: str) -> np.ndarray:
-    """Per-relay forwarding rate for the given recovery variant: the
+def _forwarding(link, half_log_pe, half_log_p, r) -> np.ndarray:
+    """Per-relay forwarding rate over the link table of _links: the
     costliest layer the relay forwards, at least zero."""
-    link, half_log_pe, half_log_p = _links(asg, variant)
-    r = np.asarray(r, dtype=float)
     cost = (r[None, :] + half_log_pe[:, None]) - half_log_p[None, :]
     return np.maximum(0.0, np.max(np.where(link, cost, -np.inf), axis=1))
+
+
+def forwarding_rates(asg: SchemeAssignment, r, variant: str) -> np.ndarray:
+    """Per-relay forwarding rate for the given recovery variant."""
+    return _forwarding(*_links(asg, variant), np.asarray(r, dtype=float))
 
 
 def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion, variant: str) -> RateReport:
@@ -145,11 +147,10 @@ def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion,
         COMPUTATION_LIMITED if r_comp[l] <= bounds[l] else FORWARDING_LIMITED for l in range(L)
     )
     # R <= caps exactly; the clamp drops the rounding of r + offset - offset
-    R = np.minimum(forwarding_rates(asg, r, variant), caps)
+    R = np.minimum(_forwarding(link, half_log_pe, half_log_p, r), caps)
     return RateReport(
         sourceRates=tuple(r),
         forwardingRates=tuple(R),
         sumRate=float(np.sum(r)),
-        feasible=True,
         limiting=limiting,
     )

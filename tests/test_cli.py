@@ -373,6 +373,18 @@ def test_main_optimize_unequal_budgets(tmp_path, capsys):
         assert len(entry["powers"]) == 2 and np.array(entry["coefficients"]).shape == (2, 2)
 
 
+@pytest.mark.parametrize("schemes", [[], ["--schemes", "acf,scf"]], ids=["all", "acf,scf"])
+def test_main_optimize_overflowing_metric_is_a_numeric_error(schemes, tmp_path, capsys):
+    # 1e200 squared overflows the effective-noise metric: the run stops with
+    # a named error, not a traceback or rank-deficient coefficients
+    cfg = tmp_path / "chan.cfg"
+    cfg.write_text("H = 1e200 1; 0 1\ng = 1 1\nP = 100 100\nP_R = 25 25\n", encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg), *schemes]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: the effective-noise metric is not finite: the channel and powers overflow\n"
+
+
 @pytest.mark.parametrize(
     "channel",
     [

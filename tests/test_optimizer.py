@@ -307,6 +307,16 @@ def test_L2_reduction_failure_is_explicit():
             evaluate_all(ch, OptimizerConfig())
 
 
+def test_non_finite_metric_is_a_reduction_error():
+    # 1e200 squared overflows the effective-noise metric to NaN, which no
+    # reduction can order: at L = 3 the batched LLL would spin on the NaN
+    # bases until its round guard
+    H = np.array([[1e200, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    ch = ChannelInstance(H, np.ones(3), np.full(3, 100.0), np.full(3, 25.0))
+    with pytest.raises(ReductionError, match="effective-noise metric is not finite"):
+        evaluate_all(ch, OptimizerConfig(nBrute=2))
+
+
 def brute_feasible_pairs(Q):
     L = Q.rows
     pi_c = tuple(range(1, L + 1))
@@ -574,7 +584,6 @@ def test_reported_rates_match_search_value(L, nBrute):
         common = _grid_rows(ch.P, True, cfg)
         ctx = _Grid(ch.H, caps, np.concatenate([_grid_rows(ch.P, False, cfg), common]), cfg.gammaOpt)
         for scheme, (_, report) in evaluate_all(ch, cfg).items():
-            assert report.feasible
             variant, common_only = _SCHEME_ROWS[scheme]
             picked = ctx.evaluate(variant, slice(-len(common), None) if common_only else slice(None))
             assert abs(picked[0] - report.sumRate) <= 1e-9
@@ -673,6 +682,23 @@ def test_evaluate_all_scheme_subset():
     assert mat_rank(asg.field_image) == 2
     with pytest.raises(ConfigError):
         evaluate_all(ch, cfg, ("bogus",))
+
+
+def test_evaluate_all_rejects_L_whose_row_of_bounds_exceeds_a_block(monkeypatch):
+    # a block holds at least one row, whose srm bounds hold L! * L * L
+    # elements: 246,960 at L = 7, within the budget, and 2,580,480 at L = 8
+    def no_grid(*args):
+        raise AssertionError("an evaluator was built")
+
+    def channel(L):
+        return ChannelInstance(np.eye(L), np.ones(L), np.full(L, 10.0), np.full(L, 2.5))
+
+    monkeypatch.setattr(optimizer, "_Grid", no_grid)
+    cfg = OptimizerConfig(nBrute=1)
+    with pytest.raises(AssertionError, match="an evaluator was built"):
+        evaluate_all(channel(7), cfg)
+    with pytest.raises(ConfigError, match="L <= 7"):
+        evaluate_all(channel(8), cfg)
 
 
 def test_evaluate_all_checks_schemes_before_any_work(monkeypatch):

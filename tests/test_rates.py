@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccfrelay import rates
 from ccfrelay.errors import InfeasibleStructureError, VariantMismatchError
 from ccfrelay.pipeline import SchemeAssignment, mmse_noise_power
 from ccfrelay.rates import (
@@ -219,8 +220,25 @@ def test_infeasible_structure_detected():
         max_rates_given_structure(asg, H, SecondHopRegion((0.0, 0.0)), "srm")
 
 
+def test_max_rates_reads_one_link_table(monkeypatch):
+    # the bounds and the forwarding rates of a report share one link table
+    calls = []
+    links = rates._links
+
+    def counted(asg, variant):
+        calls.append(variant)
+        return links(asg, variant)
+
+    monkeypatch.setattr(rates, "_links", counted)
+    asg, H = draw_case(np.random.default_rng(5), L=3)
+    H = asg.A + 0.1 * H
+    for variant in VARIANTS:
+        max_rates_given_structure(asg, H, SecondHopRegion((30.0,) * 3), variant)
+    assert calls == list(VARIANTS)
+
+
 def test_rate_report_coerces_types():
-    rep = RateReport((1, 2), (2, 1), 3.0, True, ["computation-limited"] * 2)
+    rep = RateReport((1, 2), (2, 1), 3.0, ["computation-limited"] * 2)
     assert rep.sourceRates == (1.0, 2.0)
     assert isinstance(rep.limiting, tuple)
 
@@ -248,7 +266,6 @@ def rate_report_records():
                         "sourceRates": repr(rep.sourceRates),
                         "forwardingRates": repr(rep.forwardingRates),
                         "sumRate": repr(rep.sumRate),
-                        "feasible": repr(rep.feasible),
                         "limiting": repr(rep.limiting),
                     }
                 except InfeasibleStructureError as exc:
