@@ -70,6 +70,16 @@ class RunConfig:
             raise ConfigError("L must be >= 1")
         if self.relayPowerRatio < 0:
             raise ConfigError("relayPowerRatio must be >= 0")
+        # the powers draw_channel gives at the ends of the range
+        snr = self.snrPoints[[0, -1]]
+        with np.errstate(all="ignore"):
+            P = 10.0 ** (snr / 10.0)
+            P_R = self.relayPowerRatio * P
+        if not np.all((P > 0) & np.isfinite(P) & np.isfinite(P_R)):
+            raise ConfigError(
+                f"SNR {snr.tolist()} dB gives source powers {P.tolist()} and relay powers {P_R.tolist()}: "
+                "all must be finite and the source powers positive"
+            )
 
     @property
     def snrPoints(self) -> np.ndarray:

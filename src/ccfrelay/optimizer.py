@@ -15,20 +15,20 @@ restrict the search space:
 One evaluator, ``_Grid``, runs the search of a channel draw at every size
 over one power grid, the per-source mesh followed by the common-power
 rows; scf and scf-q search only the common-power rows, and the acf
-schemes every row, since p_l <= P_l admits a common power.  It works in
-blocks of grid rows: coefficient selection, rates, permutation
-feasibility (computed once per distinct coefficient matrix and ordering)
-and the variant bounds, whose forwarding log-ratios are computed once
-per row for every variant.  Only coefficient selection
-depends on L.  Each relay takes its smallest candidate row (reduced
-basis rows and unit vectors) in (metric, coordinates) that extends the
-rank over F_gamma: on (N,) columns after the exact two-dimensional
-reduction at L = 2, and on (N, 2L) arrays after a batched LLL otherwise.
+schemes every row, since p_l <= P_l admits a common power.  Its
+constructor builds each per-row table once: coefficients and rates, the
+forwarding log-ratios, the index of each pi_d a row can take, and
+permutation feasibility (once per distinct coefficient matrix and
+ordering); the variant bounds then run in blocks of rows.  Only
+coefficient selection depends on L.  Each relay takes its smallest
+candidate row (reduced basis rows and unit vectors) in (metric,
+coordinates) that extends the rank over F_gamma: on (N,) columns after
+the exact two-dimensional reduction at L = 2, and on (N, 2L) arrays
+after a batched LLL otherwise.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -430,52 +430,56 @@ class _Grid:
     """Batched evaluation context of one channel draw over the stacked rows
     of its power grids, for any L.
 
-    Coefficient selection, rates, feasibility and bounds run in blocks
-    sized to ``_BLOCK_ELEMS``.  Permutation feasibility is computed once per
-    distinct (A, pi_c) or (A, pi_s), from the nonsingular square submatrices
-    of A, and shared by the rows that have it."""
+    The constructor builds every per-row table once: coefficients and
+    computation rates (selected in blocks sized to ``_BLOCK_ELEMS``), the
+    rankings pi_s and pi_c, the forwarding log-ratios, the index of every
+    pi_d = pi_c o sigma^-1, and the feasible pi_d and pi_e.  Feasibility is
+    computed once per distinct (A, pi_c) or (A, pi_s), from the nonsingular
+    square submatrices of A, and shared by the rows that have it.  The
+    variant search then runs in blocks."""
 
     def __init__(self, H, caps, p_rows, gamma):
         self.H = np.asarray(H, dtype=float)
         self.caps = np.asarray(caps, dtype=float)
         self.p = np.asarray(p_rows, dtype=float)
         self.gamma = gamma
-        self.L = self.H.shape[0]
-        self.block = _block_rows(math.factorial(self.L) * self.L * self.L)
-        step = _block_rows(2 * self.L**3)
-        starts = range(0, len(self.p), step)
-        blocks = [self._select(self.p[s : s + step]) for s in starts]
+        self.L = L = self.H.shape[0]
+        self.block = _block_rows(math.factorial(L) * L * L)
+        step = _block_rows(2 * L**3)
+        blocks = [self._select(self.p[s : s + step]) for s in range(0, len(self.p), step)]
         self.A, self.r_comp = (np.concatenate(part) for part in zip(*blocks))
         self.mask = self.A != 0
         self.pi_s = _rank_perms(self.p)
         self.pi_c = _rank_perms(_coding_key(self.p, self.r_comp))
-        self.perms = np.array(list(itertools.permutations(range(1, self.L + 1))))
-        # perm_inv0[k, j] is the 0-based position holding label j + 1 in perms[k]
-        self.perm_inv0 = np.argsort(self.perms, axis=1)
+        self.perms = np.array(list(itertools.permutations(range(1, L + 1))))
+        # half_log_ratios[n, i, l] = 0.5 * log2(p_sorted[n, i] / p[n, l]), with
+        # p_sorted each row's powers ascending: the offset of source l under the
+        # modulo lattice of the (i + 1)-th smallest power, for every variant
+        p_sorted = np.sort(self.p, axis=1, kind="stable")
+        self.half_log_ratios = 0.5 * np.log2(p_sorted[:, :, None] / self.p[:, None, :])
         # perms are in lexicographic order: the index of a permutation is the
         # rank of its base-L code among theirs
-        self.radix = self.L ** np.arange(self.L - 1, -1, -1)
-        self.codes = (self.perms - 1) @ self.radix
-        self._feasible = {}
-
-    def _perm_index(self, x):
-        """Index in perms of every permutation row of x (N, L)."""
-        return np.searchsorted(self.codes, (x - 1) @ self.radix)
-
-    @functools.cached_property
-    def _half_log_ratios(self):
-        """(N, L, L) table of 0.5 * log2(p_sorted[n, i] / p[n, l]), with
-        p_sorted each row's powers in ascending order: the forwarding offset
-        of source l under the modulo lattice of the (i + 1)-th smallest
-        power, shared by every variant's bounds."""
-        p_sorted = np.sort(self.p, axis=1, kind="stable")
-        return 0.5 * np.log2(p_sorted[:, :, None] / self.p[:, None, :])
-
-    @functools.cached_property
-    def _a_groups(self):
-        """Group (N,) of every row by its coefficient matrix, shared by both
-        feasibility kinds."""
-        return _group_rows(self.A.reshape(len(self.A), -1))[1]
+        radix = L ** np.arange(L - 1, -1, -1)
+        codes = (self.perms - 1) @ radix
+        kc, ks = (np.searchsorted(codes, (pi - 1) @ radix) for pi in (self.pi_c, self.pi_s))
+        # pi_d_index[g, s]: index of pi_c o sigma^-1 for the g-th distinct pi_c
+        # and sigma = perms[s] - 1, whose code sums (pi_c[l] - 1) * radix[sigma[l]]
+        first, self.pi_c_group = _group_rows(kc[:, None])
+        self.pi_d_index = np.searchsorted(codes, (self.pi_c[first] - 1) @ radix[self.perms - 1].T)
+        # feasible pi_d (given pi_c) and pi_e (given pi_s), in perms order: a
+        # mask (groups, L!) over the distinct (A, pi) and the group (N,) of
+        # every row
+        a_group = _group_rows(self.A.reshape(len(self.A), -1))[1]
+        chunk = _block_rows(4**L + self.perms.size)
+        feasible = []
+        for kind, pi, k in (("d", self.pi_c, kc), ("e", self.pi_s, ks)):
+            first, group = _group_rows((a_group * len(self.perms) + k)[:, None])
+            mask = [
+                _feasible_perms(self.A[g], pi[g], self.perms, gamma, kind)
+                for g in (first[s : s + chunk] for s in range(0, len(first), chunk))
+            ]
+            feasible.append((np.concatenate(mask), group))
+        self.feas_d, self.feas_e = feasible
 
     def _select(self, p):
         """Coefficients and computation rates of a block of rows."""
@@ -488,30 +492,14 @@ class _Grid:
             A = select_coefficients(self.H, p, self.gamma)
         return A, computation_rate(self.H, A, p)
 
-    def _feasibility(self, kind):
-        """Feasible pi_d ("d", given pi_c) or pi_e ("e", given pi_s), in
-        itertools.permutations order: a mask (groups, L!) over the distinct
-        (A, pi) and the group (N,) of every row."""
-        if kind not in self._feasible:
-            pi = self.pi_c if kind == "d" else self.pi_s
-            first, inverse = _group_rows((self._a_groups * len(self.perms) + self._perm_index(pi))[:, None])
-            chunk = _block_rows(4**self.L + self.perms.size)
-            feasible = [
-                _feasible_perms(self.A[g], pi[g], self.perms, self.gamma, kind)
-                for g in (first[s : s + chunk] for s in range(0, len(first), chunk))
-            ]
-            self._feasible[kind] = np.concatenate(feasible), inverse
-        return self._feasible[kind]
-
     def _bounds(self, variant, blk):
         """Yield (kd, bounds) for a block of rows: the forwarding bounds
         (rows, pi_e choices, L), and the index (rows,) of the pi_d of each
         row they hold at (None when pi_d is not searched)."""
         caps = self.caps
-        # hl[n, i, l]: offset of source l under the modulo lattice of the
-        # (i + 1)-th smallest power; relay m's lattice is that of rank
-        # pi_e(m), and the symmetric one is the coarsest, of the largest
-        hl = self._half_log_ratios[blk]
+        # relay m's modulo lattice is that of rank pi_e(m), and the symmetric
+        # one is the coarsest, of the largest power
+        hl = self.half_log_ratios[blk]
         if variant in ("srm", "symmetric"):
             off = hl[:, None, -1:, :] if variant == "symmetric" else hl[:, self.perms - 1, :]
             limits = np.where(self.mask[blk][:, None], caps[None, None, :, None] - off, np.inf)
@@ -520,8 +508,9 @@ class _Grid:
         # sigma[l], the relay forwarding source l, runs over every bijection;
         # each row's pi_d = pi_c o sigma^-1 then takes each value once, and
         # the bound columns are the same for every row
-        for sigma, sigma_inv in zip(self.perms - 1, self.perm_inv0):
-            kd = self._perm_index(self.pi_c[blk][:, sigma_inv])
+        pi_d_index = self.pi_d_index[self.pi_c_group[blk]]
+        for s, sigma in enumerate(self.perms - 1):
+            kd = pi_d_index[:, s]
             if variant == "srq":
                 yield kd, caps[sigma][None, None, :]
             else:
@@ -534,14 +523,12 @@ class _Grid:
 
         Ties go to the lexicographically largest rate tuple, then to the
         first candidate in (row, pi_d, pi_e) order."""
-        feas_d = self._feasibility("d") if variant in ("srq", "srmq") else None
-        feas_e = self._feasibility("e") if variant in ("srm", "srmq") else None
         best = None
         first, stop, _ = rows.indices(len(self.p))
         for start in range(first, stop, self.block):
             blk = slice(start, min(start + self.block, stop))
-            rows_d = None if feas_d is None else feas_d[0][feas_d[1][blk]]
-            rows_e = None if feas_e is None else feas_e[0][feas_e[1][blk]]
+            rows_d = self.feas_d[0][self.feas_d[1][blk]] if variant in ("srq", "srmq") else None
+            rows_e = self.feas_e[0][self.feas_e[1][blk]] if variant in ("srm", "srmq") else None
             for kd, bounds in self._bounds(variant, blk):
                 ok = _fold(np.logical_and, bounds >= 0, 2)
                 if rows_d is not None:

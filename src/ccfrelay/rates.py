@@ -44,14 +44,16 @@ class SecondHopRegion:
 
     def __post_init__(self):
         caps = tuple(float(c) for c in self.perRelayCapacity)
-        if any(c < 0 for c in caps):
-            raise ValueError("capacities must be nonnegative")
+        if not all(c >= 0 for c in caps):
+            raise ValueError("capacities must be nonnegative (infinite allowed, NaN not)")
         object.__setattr__(self, "perRelayCapacity", caps)
 
 
 def second_hop_region(g, P_R) -> SecondHopRegion:
     g = np.asarray(g, dtype=float)
     P_R = np.asarray(P_R, dtype=float)
+    if np.any(P_R < 0):
+        raise ValueError("relay powers P_R must be nonnegative")
     return SecondHopRegion(tuple(0.5 * np.log2(1.0 + g * g * P_R)))
 
 

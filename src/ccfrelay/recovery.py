@@ -56,17 +56,16 @@ def _relay_digits(v, asg: SchemeAssignment) -> np.ndarray:
     return np.stack([v_m.digits for v_m in v])
 
 
-def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> np.ndarray:
-    """Stacked dither digits; None (for the list or an entry) is the zero dither."""
-    if dithers is not None and len(dithers) != asg.L:
+def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> list:
+    """Each source's dither digits, broadcast to the batch shape, or None for
+    the zero dither (None for the list or an entry)."""
+    if dithers is None:
+        return [None] * asg.L
+    if len(dithers) != asg.L:
         raise ValueError(f"expected {asg.L} dithers, got {len(dithers)}")
-    D = np.zeros((asg.L,) + batch + (asg.spec.kMax,), dtype=np.int64)
-    for l, d in enumerate(dithers or ()):
-        if d is not None:
-            if d.spec != asg.spec:
-                raise SpecMismatchError("dither spec differs from assignment spec")
-            D[l] = d.digits
-    return D
+    if any(d is not None and d.spec != asg.spec for d in dithers):
+        raise SpecMismatchError("dither spec differs from assignment spec")
+    return [None if d is None else np.broadcast_to(d.digits, batch + (asg.spec.kMax,)) for d in dithers]
 
 
 def _points(spec, D: np.ndarray) -> list:
@@ -136,9 +135,10 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
         l = asg.pi_s.index(i)
         T[l, ..., k_i:fine_level] = W[np.count_nonzero(sources[:l])]
         if i < L:
-            # t - Q_{k_i}(t - d): the dither below k_i, t above it
-            t = T[l, ..., :fine_level].copy()
-            t[..., :k_i] = D[l, ..., :k_i]
+            # t - Q_{k_i}(t - d): the dither below k_i (T[l] is zero there), t above it
+            t = T[l, ..., :fine_level]
+            if D[l] is not None:
+                t = np.concatenate([D[l][..., :k_i], t[..., k_i:]], axis=-1)
             V[..., :fine_level] = int_divmod(V[..., :fine_level] - np.multiply.outer(asg.A[:, l], t), spec.gamma)[1]
     return _points(spec, T)
 

@@ -206,6 +206,26 @@ def test_main_exit_code_config_error(tmp_path, capsys):
     assert captured.err.count("config error: ") == 8
 
 
+def test_powers_must_be_positive_and_finite(tmp_path, capsys):
+    # P = 10^(SNR/10) overflows at 3090 dB and underflows to 0 at -4000 dB,
+    # at either end of the range; a relay power ratio of 1e308 overflows the
+    # relay power 10 * 1e308 at 10 dB
+    for snr in ("3090:3090:1", "-4000:-4000:1", "0:3090:3090", "-4000:0:4000"):
+        assert main(["sweep", "--L", "2", f"--snr={snr}", "--trials", "1"]) == EXIT_CONFIG
+    path = tmp_path / "run.cfg"
+    path.write_text("relayPowerRatio = 1e308\nsnrStart = 0\nsnrStop = 10\nsnrStep = 10\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--L", "2", "--trials", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error: ") == 5
+    assert "SNR [3090.0, 3090.0] dB gives source powers [inf, inf]" in captured.err
+    # the ends are the range's points: 3100 dB is past the last one, 3000 dB
+    RunConfig(snrStart=3000.0, snrStop=3100.0, snrStep=1000.0)
+    RunConfig(snrStart=0.0, snrStop=10.0, relayPowerRatio=1e307)
+    with pytest.raises(ConfigError, match=r"relay powers \[1e\+308, inf\]"):
+        RunConfig(snrStart=0.0, snrStop=10.0, snrStep=10.0, relayPowerRatio=1e308)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

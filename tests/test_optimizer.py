@@ -550,6 +550,29 @@ def test_bounds_match_direct_log_ratios(L):
         assert bounds.shape == want.shape and bounds.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_grid_tables_match_their_definitions(L):
+    # the constructor's tables, read back row by row: pi_d_index holds the
+    # index of pi_c o sigma^-1 for each row's pi_c and every sigma, and the
+    # feasibility masks, one row per distinct (A, pi), gathered by each
+    # row's group are that row's own feasible pi_d and pi_e
+    rng = np.random.default_rng(40 + L)
+    P = 10 ** rng.uniform(0.5, 2.4, size=L)
+    cfg = OptimizerConfig(nBrute=5)
+    rows = np.concatenate([_grid_rows(P, False, cfg), _grid_rows(P, True, cfg)])
+    ctx = _Grid(rng.normal(size=(L, L)), rng.uniform(1.0, 6.0, size=L), rows, 257)
+    assert [tuple(p) for p in ctx.perms.tolist()] == list(itertools.permutations(range(1, L + 1)))
+    distinct_pi_c = {tuple(pi) for pi in ctx.pi_c.tolist()}
+    assert len(ctx.pi_d_index) == len(distinct_pi_c) and (L < 3 or len(distinct_pi_c) > 1)
+    for n in range(len(rows)):
+        kd = ctx.pi_d_index[ctx.pi_c_group[n]]
+        for s, sigma in enumerate(ctx.perms):
+            assert ctx.perms[kd[s]].tolist() == ctx.pi_c[n][np.argsort(sigma)].tolist()
+    for kind, pi, (mask, group) in (("d", ctx.pi_c, ctx.feas_d), ("e", ctx.pi_s, ctx.feas_e)):
+        assert len(mask) == len({(A.tobytes(), p.tobytes()) for A, p in zip(ctx.A, pi)}) <= len(rows)
+        assert np.array_equal(mask[group], _feasible_perms(ctx.A, pi, ctx.perms, 257, kind))
+
+
 def test_evaluate_all_selects_once_per_draw(monkeypatch):
     # the five schemes share one grid: coefficient selection runs once,
     # over the 125 mesh rows and the 5 common-power rows together

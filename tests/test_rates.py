@@ -54,6 +54,20 @@ def test_second_hop_region_formula():
         SecondHopRegion((-0.1,))
 
 
+def test_second_hop_region_rejects_nan_and_negative_power():
+    # a NaN capacity fails no `c < 0` test, and a negative relay power makes
+    # the log's argument negative (NaN, with a RuntimeWarning); infinite
+    # capacities stay allowed
+    with pytest.raises(ValueError, match="capacities"):
+        SecondHopRegion((1.0, float("nan")))
+    with pytest.raises(ValueError, match="P_R"):
+        second_hop_region([1.0, 1.0], [-2.0, 1.0])
+    with pytest.raises(ValueError, match="P_R"):
+        second_hop_region([0.0], [-1.0])
+    assert SecondHopRegion((np.inf, 0.0)).perRelayCapacity == (np.inf, 0.0)
+    assert second_hop_region([1.0], [np.inf]).perRelayCapacity == (np.inf,)
+
+
 def test_computation_rate_formula():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -157,6 +157,24 @@ def test_wrong_dither_count_rejected(algo, point, count):
         algo(relay_outputs(t, asg), [zero if point else None] * count, asg)
 
 
+@pytest.mark.parametrize("algo", [srm, srmq])
+def test_bad_dither_rejected(algo):
+    # a dither of another spec, or whose batch shape does not broadcast to
+    # the relay outputs', is rejected whichever source it belongs to, also
+    # the last one recovered, whose dither srm never reads
+    rng = np.random.default_rng(12)
+    asg, t = exact_case(rng, 3, 4, 3, common_shaping=False)
+    v = relay_outputs(t, asg)
+    n, kMax = asg.spec.n, asg.spec.kMax
+    other = make_chain_spec(7, n, kMax)
+    for l in range(asg.L):
+        for spec, batch, error in ((asg.spec, (5,), ValueError), (other, (32,), SpecMismatchError)):
+            dithers = [None] * asg.L
+            dithers[l] = ChainPoint(spec, np.zeros(batch + (kMax,), dtype=np.int64), np.zeros(batch + (n,), dtype=np.int64))
+            with pytest.raises(error):
+                algo(v, dithers, asg)
+
+
 def test_spec_mismatch_rejected():
     asg = _fixed_assignment(A=np.eye(2, dtype=np.int64))
     other = make_chain_spec(5, 4, 4)
