@@ -144,7 +144,6 @@ def residual_submatrix(Q: FieldMatrix, sources, relays) -> FieldMatrix:
 
 def perm_inverse(perm) -> tuple:
     """Inverse of a 1-based permutation given as a tuple with perm[i] = pi(i+1)."""
-    perm = tuple(int(v) for v in perm)
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
         inv[v - 1] = i + 1
@@ -152,7 +151,15 @@ def perm_inverse(perm) -> tuple:
 
 
 def is_permutation(perm, L: int) -> bool:
-    return sorted(int(v) for v in perm) == list(range(1, L + 1))
+    return sorted(perm) == list(range(1, L + 1))
+
+
+def check_permutation(perm, L: int, name: str) -> tuple:
+    """perm as a tuple of ints; ValueError unless it is a permutation of 1..L."""
+    perm = tuple(int64_array(perm, name).tolist())
+    if not is_permutation(perm, L):
+        raise ValueError(f"{name} is not a permutation of 1..{L}")
+    return perm
 
 
 def nonsingular_minors(A, gamma: int) -> np.ndarray:
@@ -214,7 +221,7 @@ def feasible_pi_d(Q: FieldMatrix, pi_c) -> tuple:
     time and memory: meant for the small L the optimizer supports.
     """
     L = Q.rows
-    pi_c_inv = perm_inverse(pi_c)
+    pi_c_inv = perm_inverse(check_permutation(pi_c, L, "pi_c"))
     column_order = [pi_c_inv[j - 1] for j in range(L, 1, -1)]
     labels = list(range(L, 1, -1)) + [1]
     return _greedy_row_deletion(Q, column_order, labels)
@@ -229,7 +236,7 @@ def feasible_pi_e(Q: FieldMatrix, pi_s) -> tuple:
     time and memory: meant for the small L the optimizer supports.
     """
     L = Q.rows
-    pi_s_inv = perm_inverse(pi_s)
+    pi_s_inv = perm_inverse(check_permutation(pi_s, L, "pi_s"))
     column_order = [pi_s_inv[i - 1] for i in range(1, L)]
     labels = list(range(1, L)) + [L]
     return _greedy_row_deletion(Q, column_order, labels)

@@ -1,16 +1,15 @@
 """Exact nested lattice chain built from a systematic linear code.
 
-A chain specification fixes a prime gamma, a dimension n, a generator
-matrix G (n x kMax, systematic) and a scale beta.  Level k in [0, kMax]
-defines the lattice
+A chain specification fixes a prime gamma, a dimension n and a generator
+matrix G (n x kMax, systematic).  Level k in [0, kMax] defines the lattice
 
-    Lambda(k) = beta * (gamma^{-1} kappa(G_k F_gamma^k) + Z^n),
+    Lambda(k) = gamma^{-1} kappa(G_k F_gamma^k) + Z^n,
 
 where G_k is the first k columns of G.  Larger k means finer lattice;
-Lambda(0) = beta * Z^n.  Points of the finest lattice Lambda(kMax) are
-stored exactly as a digit vector over F_gamma plus an integer part:
+Lambda(0) = Z^n.  Points of the finest lattice Lambda(kMax) are stored
+exactly as a digit vector over F_gamma plus an integer part:
 
-    x = beta * (gamma^{-1} kappa(G d) + z).
+    x = gamma^{-1} kappa(G d) + z.
 
 Because G is systematic the pair (d, z) is the unique such representation,
 so equality of points is equality of arrays.  Digit and integer arrays may
@@ -35,13 +34,10 @@ class ChainSpec:
     n: int
     kMax: int
     G: FieldMatrix
-    scale: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.kMax <= self.n:
             raise ValueError(f"kMax must be in [1, n], got {self.kMax} with n={self.n}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.G.modulus != self.gamma:
             raise ValueError("generator modulus differs from chain modulus")
         if self.G.rows != self.n or self.G.cols != self.kMax:
@@ -121,11 +117,6 @@ def _point(spec: ChainSpec, digits: np.ndarray, ints: np.ndarray) -> ChainPoint:
     return x
 
 
-def _require_same_spec(a: ChainPoint, b: ChainPoint) -> None:
-    if a.spec != b.spec:
-        raise SpecMismatchError("points belong to different chain specifications")
-
-
 def combine(points, coeffs) -> ChainPoint:
     """Exact integer combination sum_i c_i x_i: the field combination d of the
     digits, with integer carries (sum_i c_i kappa(G d_i) - kappa(G d)) / gamma,
@@ -136,8 +127,9 @@ def combine(points, coeffs) -> ChainPoint:
     spec = points[0].spec
     P = spec.G.entries[spec.kMax :].T
     raw = words = ints = 0
-    for c, x in zip(map(int, coeffs), points, strict=True):
-        _require_same_spec(points[0], x)
+    for c, x in zip(int64_array(coeffs, "coefficients").tolist(), points, strict=True):
+        if x.spec != spec:
+            raise SpecMismatchError("points belong to different chain specifications")
         raw = raw + c * x.digits
         ints = ints + c * x.ints
         if P.size:
@@ -219,15 +211,13 @@ def decode_codeword(t: ChainPoint, lp: LevelPair) -> np.ndarray:
 def real_embed(x: ChainPoint) -> np.ndarray:
     """Floating-point coordinates of the point."""
     spec = x.spec
-    return spec.scale * (spec.code_word(x.digits) / spec.gamma + x.ints)
+    return spec.code_word(x.digits) / spec.gamma + x.ints
 
 
-def make_chain_spec(gamma: int, n: int, kMax: int = None, scale: float = 1.0, rng=None) -> ChainSpec:
+def make_chain_spec(gamma: int, n: int, kMax: int, rng=None) -> ChainSpec:
     """Convenience constructor; random systematic generator when rng given."""
-    if kMax is None:
-        kMax = n
     G = np.zeros((n, kMax), dtype=np.int64)
     G[:kMax] = np.eye(kMax, dtype=np.int64)
     if rng is not None and n > kMax:
         G[kMax:] = rng.integers(0, gamma, size=(n - kMax, kMax))
-    return ChainSpec(gamma=gamma, n=n, kMax=kMax, G=FieldMatrix(G, gamma), scale=scale)
+    return ChainSpec(gamma=gamma, n=n, kMax=kMax, G=FieldMatrix(G, gamma))

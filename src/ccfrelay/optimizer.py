@@ -94,8 +94,8 @@ class OptimizerConfig:
     gammaOpt: int = 257
 
     def __post_init__(self):
-        if self.nBrute < 1:
-            raise ConfigError("nBrute must be >= 1")
+        if not isinstance(self.nBrute, (int, np.integer)) or self.nBrute < 1:
+            raise ConfigError(f"nBrute must be an integer >= 1, got {self.nBrute!r}")
         try:
             _check_prime(self.gammaOpt)
         except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodeFailure, SpecMismatchError
-from .galois import FieldMatrix, is_permutation
+from .galois import FieldMatrix, check_permutation, int64_array
 from .lattice import ChainPoint, ChainSpec, LevelPair, _point, combine, encode_message, real_embed
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these pipeline bindings)
 
@@ -39,17 +39,14 @@ class SchemeAssignment:
     def __post_init__(self):
         L = len(self.pi_c)
         for name in ("pi_c", "pi_s", "pi_d", "pi_e"):
-            perm = tuple(int(v) for v in getattr(self, name))
-            if not is_permutation(perm, L):
-                raise ValueError(f"{name} is not a permutation of 1..{L}")
-            object.__setattr__(self, name, perm)
-        A = np.asarray(self.A, dtype=np.int64)
+            object.__setattr__(self, name, check_permutation(getattr(self, name), L, name))
+        A = int64_array(self.A, "A")
         if A.shape != (L, L):
             raise ValueError(f"A must be {L}x{L}")
         object.__setattr__(self, "A", A)
         A.setflags(write=False)
-        cl = tuple(int(k) for k in self.codingLevels)
-        sl = tuple(int(k) for k in self.shapingLevels)
+        cl = tuple(int64_array(self.codingLevels, "coding levels").tolist())
+        sl = tuple(int64_array(self.shapingLevels, "shaping levels").tolist())
         if len(cl) != L or len(sl) != L:
             raise ValueError("level lists must have length L")
         if any(a < b for a, b in zip(cl, cl[1:])) or any(a < b for a, b in zip(sl, sl[1:])):
@@ -67,14 +64,23 @@ class SchemeAssignment:
         P = tuple(float(v) for v in self.budgets)
         if len(p) != L or len(P) != L:
             raise ValueError("power vectors must have length L")
-        if any(v <= 0 for v in p) or any(pv > bv + 1e-12 for pv, bv in zip(p, P)):
-            raise ValueError("powers must satisfy 0 < p_l <= P_l")
+        # chained, so that a NaN or infinite power or budget fails it too
+        if not all(0 < pv <= bv + 1e-12 < np.inf for pv, bv in zip(p, P)):
+            raise ValueError("powers must satisfy 0 < p_l <= P_l < inf")
         object.__setattr__(self, "powers", p)
         object.__setattr__(self, "budgets", P)
 
     @property
     def L(self) -> int:
         return len(self.pi_c)
+
+    def check_points(self, points, what: str) -> None:
+        """Raise unless there is one point per source (or relay), each of
+        this assignment's spec or None (the zero dither)."""
+        if len(points) != self.L:
+            raise ValueError(f"expected {self.L} {what}s, got {len(points)}")
+        if any(x is not None and x.spec != self.spec for x in points):
+            raise SpecMismatchError(f"{what} spec differs from assignment spec")
 
     def index0(self, i: int) -> int:
         """0-based position of the 1-based source or relay index i."""
@@ -146,10 +152,7 @@ def source_encode(w, l: int, asg: SchemeAssignment) -> ChainPoint:
 
 def relay_combination(t, m: int, asg: SchemeAssignment) -> ChainPoint:
     """Exact integer combination sum_l a_ml t_l decoded at relay m."""
-    if len(t) != asg.L:
-        raise ValueError(f"expected {asg.L} codewords, got {len(t)}")
-    if any(t_l.spec != asg.spec for t_l in t):
-        raise SpecMismatchError("codeword spec differs from assignment spec")
+    asg.check_points(t, "codeword")
     return combine(t, asg.A[asg.index0(m)])
 
 
@@ -225,8 +228,8 @@ def noisy_compute_demo(t, m: int, asg: SchemeAssignment, H, noise_std: float, rn
     digits = np.zeros((combos.shape[0], spec.kMax), dtype=np.int64)
     digits[:, :kf] = combos
     cw = spec.code_word(digits) / spec.gamma
-    z = np.rint(s / spec.scale - cw).astype(np.int64)
-    cand = spec.scale * (cw + z)
+    z = np.rint(s - cw).astype(np.int64)
+    cand = cw + z
     dist = np.sum((cand - s) ** 2, axis=1)
     order = np.argsort(dist)
     if dist.shape[0] > 1 and dist[order[1]] - dist[order[0]] < 1e-9:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError, SingularResidualError, SpecMismatchError
+from .errors import SingularMatrixError, SingularResidualError
 from .galois import int_divmod, mat_inverse, residual_sets, residual_submatrix
 from .lattice import _point
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
@@ -49,10 +49,7 @@ from .pipeline import SchemeAssignment
 
 def _relay_digits(v, asg: SchemeAssignment) -> np.ndarray:
     """Check the relay outputs against the assignment; stack their digits."""
-    if len(v) != asg.L:
-        raise ValueError(f"expected {asg.L} relay outputs, got {len(v)}")
-    if any(v_m.spec != asg.spec for v_m in v):
-        raise SpecMismatchError("relay output spec differs from assignment spec")
+    asg.check_points(v, "relay output")
     return np.stack([v_m.digits for v_m in v])
 
 
@@ -61,10 +58,7 @@ def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> list:
     the zero dither (None for the list or an entry)."""
     if dithers is None:
         return [None] * asg.L
-    if len(dithers) != asg.L:
-        raise ValueError(f"expected {asg.L} dithers, got {len(dithers)}")
-    if any(d is not None and d.spec != asg.spec for d in dithers):
-        raise SpecMismatchError("dither spec differs from assignment spec")
+    asg.check_points(dithers, "dither")
     return [None if d is None else np.broadcast_to(d.digits, batch + (asg.spec.kMax,)) for d in dithers]
 
 
@@ -113,10 +107,14 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
 
     ``v[m-1]`` must be the canonical residue of relay m's combination
     modulo its own modulo lattice.  ``dithers`` is a per-source list of
-    ChainPoints or None for the all-zero dithers.  ``fine_level`` is the
-    digit level of the common fine lattice the codewords live on, from the
-    finest shaping level to kMax; it defaults to the finest coding level.
-    Cancellation stops at the fine level (band invariant).
+    ChainPoints or None for the all-zero dithers.  Only a dither's digits
+    below its source's shaping level are read (those Q_{k_s}(d) keeps); a
+    dither already reduced modulo its shaping lattice has none there and
+    leaves the result unchanged: it reads as the zero dither.
+    ``fine_level`` is the digit level of the common fine lattice the
+    codewords live on, from the finest shaping level to kMax; it defaults
+    to the finest coding level.  Cancellation stops at the fine level
+    (band invariant).
     """
     V = _relay_digits(v, asg)
     spec = asg.spec
@@ -150,6 +148,8 @@ def srmq(v, dithers, asg: SchemeAssignment):
     digits at or above k_b1, and srm with fine level k_b1 those below it.
     Neither pass reads a column the other fills (band invariant), so both
     read the relay outputs and dithers as they came and their results add.
+    Dithers are read as in srm: only their digits below each source's
+    shaping level.
     """
     k_b1 = asg.shapingLevels[0]
     t_quan = srq(v, asg, k_b1)

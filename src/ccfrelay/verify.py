@@ -91,17 +91,9 @@ def encode_all(messages, asg: SchemeAssignment):
     return [pipeline.source_encode(messages[l - 1], l, asg) for l in range(1, asg.L + 1)]
 
 
-def relay_outputs(t, asg: SchemeAssignment, common_shaping_level=None):
-    """Compressed relay outputs; with a common shaping level the modulo
-    lattice is overridden for every relay."""
-    out = []
-    for m in range(1, asg.L + 1):
-        delta = pipeline.relay_combination(t, m, asg)
-        if common_shaping_level is None:
-            out.append(pipeline.compress(delta, m, asg))
-        else:
-            out.append(mod_level(quantize_level(delta, asg.quantize_level_of(m)), common_shaping_level))
-    return out
+def relay_outputs(t, asg: SchemeAssignment):
+    """Every relay's compressed combination."""
+    return [pipeline.compress(pipeline.relay_combination(t, m, asg), m, asg) for m in range(1, asg.L + 1)]
 
 
 def _fmt(obj) -> str:
@@ -179,9 +171,8 @@ def _exact_recovery(algo, rng):
     msgs = random_messages(rng, asg, 16)
     t = encode_all(msgs, asg)
     if algo == "srq":
-        c = asg.shapingLevels[0]
-        v = relay_outputs(t, asg, common_shaping_level=c)
-        got = recovery.srq(v, asg, c)
+        v = relay_outputs(t, asg)
+        got = recovery.srq(v, asg, asg.shapingLevels[0])
     elif algo == "srm":
         v = [mod_level(pipeline.relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in range(1, L + 1)]
         got = recovery.srm(v, None, asg)

@@ -161,6 +161,16 @@ def test_permutation_helpers():
     assert perm_inverse((2, 3, 1)) == (3, 1, 2)
 
 
+@pytest.mark.parametrize("pi", [(1, 1, 2), (0, 1, 2), (1, 2), (1, 2, 3, 4), (1, 2, 4), (1.5, 2, 3)])
+@pytest.mark.parametrize("construct, name", [(feasible_pi_d, "pi_c"), (feasible_pi_e, "pi_s")])
+def test_constructors_reject_non_permutations(construct, name, pi):
+    # a repeated, missing or fractional label is an error, not a result
+    Q = FieldMatrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 3)
+    assert mat_rank(Q) == 3
+    with pytest.raises(ValueError, match=f"{name} (is not a permutation of 1..3|must be integers)"):
+        construct(Q, pi)
+
+
 def test_index_sets_definition():
     sources, relays = residual_sets((2, 1, 3), (3, 1, 2), 2, "d")
     assert sources.tolist() == [True, True, False]

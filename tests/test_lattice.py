@@ -42,8 +42,6 @@ def specs(rng):
 def test_spec_validation():
     with pytest.raises(ValueError):
         make_chain_spec(3, 2, 3)
-    with pytest.raises(ValueError):
-        make_chain_spec(3, 2, 2, scale=0.0)
     G = FieldMatrix(np.array([[1, 1], [0, 1]]), 3)
     with pytest.raises(ValueError):
         ChainSpec(gamma=3, n=2, kMax=2, G=G)
@@ -85,6 +83,18 @@ def test_point_and_message_reject_values_the_int64_cast_would_change():
     with pytest.raises(ValueError):
         encode_message([1.9, 2.2], lp, spec)
     assert encode_message([1.0, 2.0], lp, spec) == encode_message(np.array([1, 2]), lp, spec)
+
+
+def test_combine_rejects_coefficients_the_int64_cast_would_change():
+    # a fraction is an error, not truncated to the integer below it
+    spec = make_chain_spec(3, 4, 4)
+    x = ChainPoint(spec, [1, 0, 2, 0], [0, 1, 0, 0])
+    for c in (2.7, np.nan, 2**70):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            point_scale(x, c)
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        combine([x, x], (1, 0.5))
+    assert point_scale(x, 2.0) == point_scale(x, np.int8(2)) == point_add(x, x)
 
 
 def test_point_leaves_the_callers_arrays_writeable():
@@ -196,7 +206,7 @@ def test_mod_level_is_canonical_coset_representative():
         for k in range(spec.kMax + 1):
             q = quantize_level(x, k)
             assert np.all(q.digits[..., k:] == 0)
-            scaled = real_embed(q) * spec.gamma / spec.scale
+            scaled = real_embed(q) * spec.gamma
             np.testing.assert_allclose(scaled, np.rint(scaled), atol=1e-9)
             head = np.zeros_like(x.digits)
             head[..., :k] = q.digits[..., :k]

@@ -49,6 +49,9 @@ from scalar_oracle import (
 def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(nBrute=0)
+    for n in (2.5, 2.0, "3"):
+        with pytest.raises(ConfigError, match="nBrute must be an integer"):
+            OptimizerConfig(nBrute=n)
     with pytest.raises(ConfigError):
         OptimizerConfig(gammaOpt=4)
 

@@ -54,6 +54,37 @@ def test_assignment_validation():
         small_assignment(powers=(2.0, 1.0))  # exceeds budget
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"A": np.array([[1.5, 1], [0, 1]])},
+        {"pi_c": (1.5, 2)},
+        {"pi_e": (1, np.nan)},
+        {"codingLevels": (4.7, 3)},
+        {"shapingLevels": (2, 1.5)},
+    ],
+)
+def test_assignment_rejects_values_the_int64_cast_would_change(override):
+    # a fraction is an error, not truncated to the integer below it
+    with pytest.raises(ValueError, match="must be integers"):
+        small_assignment(**override)
+
+
+def test_assignment_accepts_integer_values_of_any_dtype():
+    asg = small_assignment(
+        pi_c=(1.0, 2.0), A=np.array([[1.0, 1.0], [0, 1]]), codingLevels=np.array([4, 3], dtype=np.int8)
+    )
+    assert asg.pi_c == (1, 2) and all(type(v) is int for v in asg.pi_c + asg.codingLevels)
+    assert asg.A.dtype == np.int64 and np.array_equal(asg.A, [[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("field", ["powers", "budgets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_rejects_non_finite_powers_and_budgets(field, bad):
+    with pytest.raises(ValueError, match="powers must satisfy"):
+        small_assignment(**{field: (bad, 1.0)})
+
+
 def test_assignment_level_lookups():
     asg = small_assignment(pi_c=(2, 1), pi_d=(2, 1), pi_s=(1, 2), pi_e=(2, 1))
     assert asg.coding_level(1) == 3
@@ -134,8 +165,10 @@ def test_mismatched_spec_rejected():
     w = np.zeros(asg.message_length(1), dtype=np.int64)
     t = source_encode(w, 1, asg)
     t_bad = type(t)(other, t.digits, t.ints)
-    with pytest.raises(SpecMismatchError):
+    with pytest.raises(SpecMismatchError, match="codeword spec differs from assignment spec"):
         relay_combination([t_bad, t], 1, asg)
+    with pytest.raises(ValueError, match="expected 2 codewords, got 3"):
+        relay_combination([t, t, t], 1, asg)
     with pytest.raises(SpecMismatchError):
         compress(t_bad, 1, asg)
 

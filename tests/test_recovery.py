@@ -8,7 +8,7 @@ import pytest
 
 import exact_oracle
 from ccfrelay.errors import SingularResidualError, SpecMismatchError
-from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, point_sub
+from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, point_sub, quantize_level
 from ccfrelay.optimizer import _feasible_perms
 from ccfrelay.pipeline import SchemeAssignment, compress, relay_combination
 from ccfrelay.recovery import srm, srmq, srq
@@ -23,14 +23,22 @@ def exact_case(rng, gamma, n, L, common_shaping):
     return asg, encode_all(msgs, asg)
 
 
+def common_shaping_outputs(t, asg, c):
+    """Each relay's combination quantized at its quantization level, then
+    reduced modulo the common shaping lattice Lambda(c) in place of its own
+    modulo lattice."""
+    return [
+        mod_level(quantize_level(relay_combination(t, m, asg), asg.quantize_level_of(m)), c)
+        for m in range(1, asg.L + 1)
+    ]
+
+
 def test_srq_recovers_ground_truth():
     rng = np.random.default_rng(0)
     for _ in range(30):
         gamma = int(rng.choice((2, 3, 5)))
         asg, t = exact_case(rng, gamma, 4, int(rng.choice((2, 3))), common_shaping=True)
-        c = asg.shapingLevels[0]
-        v = relay_outputs(t, asg, common_shaping_level=c)
-        got = srq(v, asg, c)
+        got = srq(relay_outputs(t, asg), asg, asg.shapingLevels[0])
         for l in range(asg.L):
             assert got[l] == t[l]
 
@@ -63,8 +71,9 @@ def test_srmq_recovers_ground_truth():
 @pytest.mark.parametrize("L", [2, 3])
 @pytest.mark.parametrize("algo", [srm, srmq])
 def test_srm_with_nonzero_dithers(algo, L):
-    # sources transmit x = [t - d] mod shaping; the relays see combinations
-    # of x, and recovery must re-attach the dithers
+    # sources transmit x = [t - d] mod shaping and the relays see
+    # combinations of x; these dithers have no digits below the shaping
+    # level, the only ones recovery reads, so it returns the residue x
     rng = np.random.default_rng(3)
     for _ in range(20):
         asg, t = exact_case(rng, 3, 4, L, common_shaping=False)
@@ -95,7 +104,7 @@ def test_srmq_equals_srq_under_common_shaping():
         c = asg.shapingLevels[0]
         v = relay_outputs(t, asg)
         via_srmq = srmq(v, None, asg)
-        via_srq = srq(relay_outputs(t, asg, common_shaping_level=c), asg, c)
+        via_srq = srq(v, asg, c)
         for l in range(asg.L):
             assert via_srmq[l] == via_srq[l]
 
@@ -122,7 +131,7 @@ def test_singular_residual_reported_with_phase_and_iteration():
     asg = _fixed_assignment(A=np.array([[0, 1], [1, 0]]))
     t = encode_all(random_messages(np.random.default_rng(5), asg, 4), asg)
     c = asg.shapingLevels[0]
-    v = relay_outputs(t, asg, common_shaping_level=c)
+    v = common_shaping_outputs(t, asg, c)
     with pytest.raises(SingularResidualError) as exc:
         srq(v, asg, c)
     assert exc.value.phase == "quantization"
@@ -139,8 +148,8 @@ def test_wrong_relay_count_rejected():
     asg = _fixed_assignment(A=np.eye(2, dtype=np.int64))
     t = encode_all(random_messages(np.random.default_rng(6), asg, 4), asg)
     c = asg.shapingLevels[0]
-    v = relay_outputs(t, asg, common_shaping_level=c)
-    with pytest.raises(ValueError):
+    v = common_shaping_outputs(t, asg, c)
+    with pytest.raises(ValueError, match="expected 2 relay outputs, got 1"):
         srq(v[:1], asg, c)
 
 
@@ -180,9 +189,9 @@ def test_spec_mismatch_rejected():
     other = make_chain_spec(5, 4, 4)
     t = encode_all(random_messages(np.random.default_rng(7), asg, 4), asg)
     c = asg.shapingLevels[0]
-    v = relay_outputs(t, asg, common_shaping_level=c)
+    v = common_shaping_outputs(t, asg, c)
     bad = [ChainPoint(other, v[0].digits, v[0].ints), v[1]]
-    with pytest.raises(SpecMismatchError):
+    with pytest.raises(SpecMismatchError, match="relay output spec differs from assignment spec"):
         srq(bad, asg, c)
 
 
@@ -276,7 +285,7 @@ def test_recovery_matches_the_full_array_reference(gamma, L):
         asg = _oracle_assignment(rng, gamma, L, common_shaping=True)
         t = encode_all(_messages(rng, asg, batch), asg)
         c = asg.shapingLevels[0]
-        v = relay_outputs(t, asg, common_shaping_level=c)
+        v = relay_outputs(t, asg)
         got = srq(v, asg, c)
         _assert_bit_equal(got, exact_oracle.srq(v, asg, c))
         assert got == t
@@ -297,6 +306,35 @@ def test_recovery_matches_the_full_array_reference(gamma, L):
         got = srmq(v, dithers, asg)
         _assert_bit_equal(got, exact_oracle.srmq(v, dithers, asg))
         assert got == x
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("gamma", [2, 3, 5])
+def test_dither_digits_below_the_shaping_level_are_cancelled(gamma, L):
+    # dithers with random digits everywhere and an integer part; the relays
+    # combine y_l = t_l - Q_{k_s(l)}(t_l - d_l), whose digits below the
+    # shaping level are the dither's, and recovery must return t itself.
+    # Only those dither digits are read: the dithers quantized onto their
+    # shaping lattices give the same result, and reduced modulo them, the
+    # zero dithers' result.
+    rng = np.random.default_rng((gamma, L, 3))
+    for _ in range(10):
+        asg = _oracle_assignment(rng, gamma, L, common_shaping=False)
+        spec = asg.spec
+        t = encode_all(_messages(rng, asg, (6,)), asg)
+        dithers = [
+            ChainPoint(spec, rng.integers(0, gamma, size=(6, spec.kMax)), rng.integers(-3, 4, size=(6, spec.n)))
+            for _ in range(L)
+        ]
+        shaping = [asg.shaping_level(l) for l in range(1, L + 1)]
+        y = [point_sub(t_l, quantize_level(point_sub(t_l, d), k)) for t_l, d, k in zip(t, dithers, shaping)]
+        v_srm = [mod_level(relay_combination(y, m, asg), asg.modulo_level_of(m)) for m in range(1, L + 1)]
+        for algo, v in ((srm, v_srm), (srmq, relay_outputs(y, asg))):
+            got = algo(v, dithers, asg)
+            _assert_bit_equal(got, t)
+            _assert_bit_equal(got, getattr(exact_oracle, algo.__name__)(v, dithers, asg))
+            _assert_bit_equal(algo(v, [quantize_level(d, k) for d, k in zip(dithers, shaping)], asg), got)
+            _assert_bit_equal(algo(v, [mod_level(d, k) for d, k in zip(dithers, shaping)], asg), algo(v, None, asg))
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -338,9 +376,9 @@ def test_recovery_rejects_out_of_range_levels():
     coarsest = asg.codingLevels[-1]
     for c in (-5, -1, coarsest + 1, 99):
         with pytest.raises(ValueError):
-            srq(relay_outputs(t, asg, common_shaping_level=0), asg, c)
+            srq(common_shaping_outputs(t, asg, 0), asg, c)
     for c in (0, coarsest):
-        assert srq(relay_outputs(t, asg, common_shaping_level=c), asg, c) == [mod_level(t_l, c) for t_l in t]
+        assert srq(common_shaping_outputs(t, asg, c), asg, c) == [mod_level(t_l, c) for t_l in t]
     v = [mod_level(relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in (1, 2)]
     finest_shaping = asg.shapingLevels[0]
     for level in (-1, 0, finest_shaping - 1, asg.spec.kMax + 1, 99):
