@@ -61,6 +61,8 @@ class LevelPair:
     kShaping: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kCoding", int64_array(self.kCoding, "coding level").item())
+        object.__setattr__(self, "kShaping", int64_array(self.kShaping, "shaping level").item())
         if not 0 <= self.kShaping < self.kCoding:
             raise ValueError(f"need 0 <= kShaping < kCoding, got {self}")
 
@@ -162,6 +164,7 @@ def mod_level(x: ChainPoint, k: int) -> ChainPoint:
     up to integer carries.
     """
     spec = x.spec
+    k = int64_array(k, "level").item()
     if not 0 <= k <= spec.kMax:
         raise ValueError(f"level must be in [0, kMax], got {k}")
     digits = x.digits.copy()

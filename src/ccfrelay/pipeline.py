@@ -40,7 +40,10 @@ class SchemeAssignment:
         L = len(self.pi_c)
         for name in ("pi_c", "pi_s", "pi_d", "pi_e"):
             object.__setattr__(self, name, check_permutation(getattr(self, name), L, name))
-        A = int64_array(self.A, "A")
+        # a frozen copy: the caller's array stays writable, and no handle
+        # to it can change the A that field_image and the recovery's
+        # residual systems were computed from
+        A = int64_array(self.A, "A").copy()
         if A.shape != (L, L):
             raise ValueError(f"A must be {L}x{L}")
         object.__setattr__(self, "A", A)

@@ -32,6 +32,13 @@ iteration reads are computed (the band invariant):
 - srmq's srq pass reads and fills only digits at or above the finest
   shaping level, and its srm pass only digits below it.
 
+Each iteration solves a residual system that depends only on the
+assignment, never on the relay outputs.  Its inverse over F_gamma is
+computed once per assignment and kind (srq's or srm's), on the first call
+that needs it, and kept on the assignment; every call runs only the digit
+work.  A singular system raises SingularResidualError when its iteration
+is reached, on every call.
+
 Inputs may carry leading batch axes; every iteration is vectorized over
 the batch.
 """
@@ -41,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMatrixError, SingularResidualError
-from .galois import int_divmod, mat_inverse, residual_sets, residual_submatrix
+from .galois import int64_array, int_divmod, mat_inverse, residual_sets, residual_submatrix
 from .lattice import _point
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
 from .pipeline import SchemeAssignment
@@ -68,15 +75,37 @@ def _points(spec, D: np.ndarray) -> list:
     return [_point(spec, d, zeros) for d in D]
 
 
-def _solve_layer(asg: SchemeAssignment, sources, relays, V, band, phase: str, iteration: int) -> np.ndarray:
+def _plan(asg: SchemeAssignment, kind: str) -> tuple:
+    """The residual system of every iteration of one kind ("d" for srq,
+    "e" for srm): (sources, relays, inverse entries), the entries None for
+    a singular system.  The systems depend only on the assignment, so each
+    kind's are solved once, on first use, and kept in the assignment's
+    instance dict, where functools.cached_property keeps field_image."""
+    key = f"_residual_plan_{kind}"
+    plan = asg.__dict__.get(key)
+    if plan is None:
+        labels = (asg.pi_c, asg.pi_d) if kind == "d" else (asg.pi_s, asg.pi_e)
+        systems = []
+        for t in range(1, asg.L + 1):
+            sources, relays = residual_sets(*labels, t, kind)
+            sources.setflags(write=False)
+            relays.setflags(write=False)
+            try:
+                inv = mat_inverse(residual_submatrix(asg.field_image, sources, relays)).entries
+            except SingularMatrixError:
+                inv = None
+            systems.append((sources, relays, inv))
+        plan = asg.__dict__[key] = tuple(systems)
+    return plan
+
+
+def _solve_layer(asg: SchemeAssignment, relays, inv, V, band, phase: str, iteration: int) -> np.ndarray:
     """Digits of the residual sources in one digit band: the inverse of the
     residual matrix times the residual relays' digits."""
-    try:
-        inv = mat_inverse(residual_submatrix(asg.field_image, sources, relays))
-    except SingularMatrixError:
-        raise SingularResidualError(phase, iteration) from None
+    if inv is None:
+        raise SingularResidualError(phase, iteration)
     U = V[relays, ..., band]
-    return int_divmod(inv.entries @ U.reshape(len(U), -1), asg.spec.gamma)[1].reshape(U.shape)
+    return int_divmod(inv @ U.reshape(len(U), -1), asg.spec.gamma)[1].reshape(U.shape)
 
 
 def srq(v, asg: SchemeAssignment, common_shaping_level: int):
@@ -90,15 +119,15 @@ def srq(v, asg: SchemeAssignment, common_shaping_level: int):
     V = _relay_digits(v, asg)
     L = asg.L
     coding = asg.codingLevels
+    common_shaping_level = int64_array(common_shaping_level, "common shaping level").item()
     if not 0 <= common_shaping_level <= coding[-1]:
         raise ValueError(f"common shaping level {common_shaping_level} outside [0, {coding[-1]}]")
 
     # T[l-1] holds the digits of source l, one coding layer per iteration
     T = np.zeros_like(V)
-    for j in range(1, L + 1):
+    for j, (sources, relays, inv) in enumerate(_plan(asg, "d"), 1):
         band = np.s_[coding[j] if j < L else common_shaping_level : coding[j - 1]]
-        sources, relays = residual_sets(asg.pi_c, asg.pi_d, j, "d")
-        T[sources, ..., band] = _solve_layer(asg, sources, relays, V, band, "quantization", j)
+        T[sources, ..., band] = _solve_layer(asg, relays, inv, V, band, "quantization", j)
     return _points(asg.spec, T)
 
 
@@ -119,17 +148,15 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     V = _relay_digits(v, asg)
     spec = asg.spec
     L = asg.L
-    if fine_level is None:
-        fine_level = asg.codingLevels[0]
+    fine_level = asg.codingLevels[0] if fine_level is None else int64_array(fine_level, "fine level").item()
     if not asg.shapingLevels[0] <= fine_level <= spec.kMax:
         raise ValueError(f"fine level {fine_level} outside [{asg.shapingLevels[0]}, {spec.kMax}]")
     D = _dither_digits(dithers, asg, V.shape[1:-1])
 
     T = np.zeros_like(V)
-    for i in range(1, L + 1):
+    for i, (sources, relays, inv) in enumerate(_plan(asg, "e"), 1):
         k_i = asg.shapingLevels[i - 1]
-        sources, relays = residual_sets(asg.pi_s, asg.pi_e, i, "e")
-        W = _solve_layer(asg, sources, relays, V, np.s_[k_i:fine_level], "modulo", i)
+        W = _solve_layer(asg, relays, inv, V, np.s_[k_i:fine_level], "modulo", i)
         l = asg.pi_s.index(i)
         T[l, ..., k_i:fine_level] = W[np.count_nonzero(sources[:l])]
         if i < L:

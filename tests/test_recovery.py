@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import exact_oracle
-from ccfrelay.errors import SingularResidualError, SpecMismatchError
-from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, point_sub, quantize_level
+from ccfrelay import recovery
+from ccfrelay.errors import SingularMatrixError, SingularResidualError, SpecMismatchError
+from ccfrelay.galois import mat_inverse, residual_sets, residual_submatrix
+from ccfrelay.lattice import ChainPoint, LevelPair, make_chain_spec, mod_level, point_sub, quantize_level
 from ccfrelay.optimizer import _feasible_perms
 from ccfrelay.pipeline import SchemeAssignment, compress, relay_combination
 from ccfrelay.recovery import srm, srmq, srq
@@ -386,6 +388,83 @@ def test_recovery_rejects_out_of_range_levels():
             srm(v, None, asg, fine_level=level)
     for level in (finest_shaping, asg.codingLevels[0] - 1, asg.spec.kMax):
         assert srm(v, None, asg, fine_level=level) == exact_oracle.srm(v, None, asg, fine_level=level)
+
+
+@pytest.mark.parametrize("level", [2.5, float("nan")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v, asg, k: LevelPair(k, 1),
+        lambda v, asg, k: mod_level(v[0], k),
+        lambda v, asg, k: quantize_level(v[0], k),
+        lambda v, asg, k: srq(v, asg, k),
+        lambda v, asg, k: srm(v, None, asg, fine_level=k),
+    ],
+    ids=["LevelPair", "mod_level", "quantize_level", "srq", "srm"],
+)
+def test_levels_that_are_not_integers_rejected(call, level):
+    # a fraction must not reach a digit slice (a bare TypeError) or build
+    asg = _fixed_assignment(A=np.array([[1, 1], [1, 2]]))
+    t = encode_all(random_messages(np.random.default_rng(13), asg, 4), asg)
+    v = [mod_level(relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in (1, 2)]
+    with pytest.raises(ValueError, match="must be integers"):
+        call(v, asg, level)
+
+
+def test_assignment_keeps_its_own_copy_of_A():
+    # the caller's array stays writable, and writing to it changes neither
+    # the assignment's A nor a later recovery
+    A = np.array([[1, 1], [0, 1]])
+    asg = _fixed_assignment(A=A)
+    t = encode_all(random_messages(np.random.default_rng(14), asg, 4), asg)
+    v = relay_outputs(t, asg)
+    first = srmq(v, None, asg)
+    A[0, 0] = 5
+    np.testing.assert_array_equal(asg.A, [[1, 1], [0, 1]])
+    assert not asg.A.flags.writeable
+    _assert_bit_equal(srmq(v, None, asg), first)
+    assert first == t
+
+
+@pytest.mark.parametrize("gamma", [2, 3, 5, 7])
+def test_residual_systems_are_solved_once_per_assignment_and_kind(gamma, monkeypatch):
+    # the first srq/srm/srmq calls on an assignment invert each kind's L
+    # residual systems once; later calls invert none, return the first
+    # call's digits bit for bit, or raise in the same phase and iteration.
+    # Each kept system is its iteration's masks and the inverse of its
+    # residual matrix, None when that matrix is singular.
+    inversions = []
+    monkeypatch.setattr(recovery, "mat_inverse", lambda M: inversions.append(M) or mat_inverse(M))
+    rng = np.random.default_rng((gamma, 4))
+    raised = 0
+    for L, case in itertools.product((2, 3, 4), range(4)):
+        asg = random_assignment(rng, gamma, int(rng.integers(L, L + 2)), L)
+        if case % 2:
+            asg = replace(asg, pi_d=tuple(rng.permutation(L) + 1), pi_e=tuple(rng.permutation(L) + 1))
+        t = encode_all(random_messages(rng, asg, 3), asg)
+        v = relay_outputs(t, asg)
+        dithers = _oracle_dithers(rng, asg, (3,))
+        calls = [(srq, (v, asg, asg.shapingLevels[0])), (srm, (v, dithers, asg)), (srmq, (v, dithers, asg))]
+        first = [_outcome(algo, *args) for algo, args in calls]
+        assert len(inversions) == 2 * L
+        inversions.clear()
+        for (algo, args), got in zip(calls, first):
+            _assert_bit_equal(got, _outcome(getattr(exact_oracle, algo.__name__), *args))
+            _assert_bit_equal(_outcome(algo, *args), got)
+            raised += isinstance(got, tuple)
+        assert inversions == []
+        for kind, labels in (("d", (asg.pi_c, asg.pi_d)), ("e", (asg.pi_s, asg.pi_e))):
+            plan = recovery._plan(asg, kind)
+            assert len(plan) == L
+            for it, (sources, relays, inv) in enumerate(plan, 1):
+                want = residual_sets(*labels, it, kind)
+                np.testing.assert_array_equal(sources, want[0])
+                np.testing.assert_array_equal(relays, want[1])
+                try:
+                    np.testing.assert_array_equal(inv, mat_inverse(residual_submatrix(asg.field_image, *want)).entries)
+                except SingularMatrixError:
+                    assert inv is None
+    assert raised > 0
 
 
 def _point_record(x: ChainPoint) -> str:
