@@ -43,7 +43,7 @@ class DecodeFailure(CCFError):
 
 
 class VariantMismatchError(CCFError):
-    """A rate formula was requested for an assignment lacking the needed structure."""
+    """A rate formula was requested for a variant name not in rates.VARIANTS."""
 
 
 class InfeasibleStructureError(CCFError):

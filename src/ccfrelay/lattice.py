@@ -182,7 +182,8 @@ def encode_message(w, lp: LevelPair, spec: ChainSpec) -> ChainPoint:
 
     The message occupies digit positions kShaping+1 .. kCoding; all other
     digits and the integer part are zero, which is already the canonical
-    residue modulo the shaping lattice.
+    residue modulo the shaping lattice.  The returned ChainPoint rejects
+    message digits outside [0, gamma).
     """
     w = int64_array(w, "message digits")
     width = lp.kCoding - lp.kShaping
@@ -190,8 +191,6 @@ def encode_message(w, lp: LevelPair, spec: ChainSpec) -> ChainPoint:
         raise LengthMismatchError(f"message length {w.shape[-1]} != {width}")
     if lp.kCoding > spec.kMax:
         raise ValueError("coding level exceeds kMax")
-    if np.any(w < 0) or np.any(w >= spec.gamma):
-        raise ValueError("message digits must lie in [0, gamma)")
     shape = w.shape[:-1]
     digits = np.zeros(shape + (spec.kMax,), dtype=np.int64)
     digits[..., lp.kShaping : lp.kCoding] = w

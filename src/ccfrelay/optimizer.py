@@ -388,8 +388,6 @@ def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
 
 def _power_grid(P: float, n: int) -> np.ndarray:
     """Geometric grid of n candidate powers over (P/n, P]."""
-    if n == 1:
-        return np.array([float(P)])
     return P * float(n) ** (-(n - 1 - np.arange(n)) / n)
 
 

@@ -54,15 +54,15 @@ class SchemeAssignment:
             raise ValueError("level lists must have length L")
         if any(a < b for a, b in zip(cl, cl[1:])) or any(a < b for a, b in zip(sl, sl[1:])):
             raise ValueError("chain levels must be non-increasing in position")
-        if cl[0] > self.spec.kMax or sl[-1] < 0:
+        if cl[0] > self.spec.kMax:
             raise ValueError("levels must lie within the chain")
         if sl[0] > cl[-1]:
             raise ValueError("finest shaping level must not exceed coarsest coding level")
-        for l in range(1, L + 1):
-            if sl[self.pi_s[l - 1] - 1] >= cl[self.pi_c[l - 1] - 1]:
-                raise ValueError(f"source {l}: shaping lattice not strictly coarser than coding")
         object.__setattr__(self, "codingLevels", cl)
         object.__setattr__(self, "shapingLevels", sl)
+        # each source's levels, built once: LevelPair checks 0 <= shaping < coding
+        pairs = tuple(LevelPair(cl[c - 1], sl[s - 1]) for c, s in zip(self.pi_c, self.pi_s))
+        object.__setattr__(self, "_level_pairs", pairs)
         p = tuple(float(v) for v in self.powers)
         P = tuple(float(v) for v in self.budgets)
         if len(p) != L or len(P) != L:
@@ -96,20 +96,20 @@ class SchemeAssignment:
         """The coefficient matrix reduced into F_gamma."""
         return FieldMatrix(self.A, self.spec.gamma)
 
+    def level_pair(self, l: int) -> LevelPair:
+        return self._level_pairs[self.index0(l)]
+
     def coding_level(self, l: int) -> int:
-        return self.codingLevels[self.pi_c[self.index0(l)] - 1]
+        return self.level_pair(l).kCoding
 
     def shaping_level(self, l: int) -> int:
-        return self.shapingLevels[self.pi_s[self.index0(l)] - 1]
+        return self.level_pair(l).kShaping
 
     def quantize_level_of(self, m: int) -> int:
         return self.codingLevels[self.pi_d[self.index0(m)] - 1]
 
     def modulo_level_of(self, m: int) -> int:
         return self.shapingLevels[self.pi_e[self.index0(m)] - 1]
-
-    def level_pair(self, l: int) -> LevelPair:
-        return LevelPair(self.coding_level(l), self.shaping_level(l))
 
     def message_length(self, l: int) -> int:
         return self.coding_level(l) - self.shaping_level(l)

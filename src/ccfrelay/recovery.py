@@ -2,8 +2,9 @@
 
 Three algorithms, all exact over the digit lattice chain:
 
-- srq: asymmetric quantization with a common shaping lattice; peels one
-  coding layer per iteration from fine to coarse.
+- srq: asymmetric quantization with a common shaping lattice, the
+  assignment's finest shaping lattice; peels one coding layer per
+  iteration from fine to coarse.
 - srm: asymmetric modulo with trivial quantization; recovers one whole
   codeword per iteration from the finest shaping lattice to the coarsest.
 - srmq: both asymmetries; an srq pass above the finest shaping lattice
@@ -23,9 +24,9 @@ only on the operands' digits there.  So only the columns a later
 iteration reads are computed (the band invariant):
 
 - srq iteration j reads coding layer j, from coding level j+1 (the common
-  shaping level for j = L) up to coding level j.  The layers recovered
-  before lie at or above coding level j, so their combination is zero
-  there: srq cancels nothing.
+  shaping level, shapingLevels[0], for j = L) up to coding level j.  The
+  layers recovered before lie at or above coding level j, so their
+  combination is zero there: srq cancels nothing.
 - srm iteration i reads from shaping level i up to the fine level, on
   relays whose modulo levels lie at or below shaping level i: it cancels
   only below the fine level and never folds.
@@ -108,25 +109,23 @@ def _solve_layer(asg: SchemeAssignment, relays, inv, V, band, phase: str, iterat
     return int_divmod(inv @ U.reshape(len(U), -1), asg.spec.gamma)[1].reshape(U.shape)
 
 
-def srq(v, asg: SchemeAssignment, common_shaping_level: int):
+def srq(v, asg: SchemeAssignment):
     """Successive recovery under asymmetric quantization (common shaping).
 
-    ``v[m-1]`` must be the canonical residue of the quantized combination
-    of relay m modulo the common shaping lattice.  Returns the recovered
-    codewords, indexed by source.  Each layer is solved straight from the
-    relay digits (band invariant).
+    The common shaping lattice is the assignment's finest one, at level
+    ``asg.shapingLevels[0]``.  ``v[m-1]`` must be the canonical residue of
+    the quantized combination of relay m modulo that lattice.  Returns the
+    recovered codewords, indexed by source.  Each layer is solved straight
+    from the relay digits (band invariant).
     """
     V = _relay_digits(v, asg)
     L = asg.L
     coding = asg.codingLevels
-    common_shaping_level = int64_array(common_shaping_level, "common shaping level").item()
-    if not 0 <= common_shaping_level <= coding[-1]:
-        raise ValueError(f"common shaping level {common_shaping_level} outside [0, {coding[-1]}]")
 
     # T[l-1] holds the digits of source l, one coding layer per iteration
     T = np.zeros_like(V)
     for j, (sources, relays, inv) in enumerate(_plan(asg, "d"), 1):
-        band = np.s_[coding[j] if j < L else common_shaping_level : coding[j - 1]]
+        band = np.s_[coding[j] if j < L else asg.shapingLevels[0] : coding[j - 1]]
         T[sources, ..., band] = _solve_layer(asg, relays, inv, V, band, "quantization", j)
     return _points(asg.spec, T)
 
@@ -171,7 +170,7 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
 def srmq(v, dithers, asg: SchemeAssignment):
     """Successive recovery under joint asymmetric quantization and modulo.
 
-    srq with the finest shaping level k_b1 as the common one recovers the
+    srq, whose common shaping level is the finest one k_b1, recovers the
     digits at or above k_b1, and srm with fine level k_b1 those below it.
     Neither pass reads a column the other fills (band invariant), so both
     read the relay outputs and dithers as they came and their results add.
@@ -179,6 +178,6 @@ def srmq(v, dithers, asg: SchemeAssignment):
     shaping level.
     """
     k_b1 = asg.shapingLevels[0]
-    t_quan = srq(v, asg, k_b1)
+    t_quan = srq(v, asg)
     t_mod = srm(v, dithers, asg, fine_level=k_b1)
     return [_point(asg.spec, q.digits + m.digits, q.ints) for q, m in zip(t_quan, t_mod)]

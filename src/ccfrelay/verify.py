@@ -172,7 +172,7 @@ def _exact_recovery(algo, rng):
     t = encode_all(msgs, asg)
     if algo == "srq":
         v = relay_outputs(t, asg)
-        got = recovery.srq(v, asg, asg.shapingLevels[0])
+        got = recovery.srq(v, asg)
     elif algo == "srm":
         v = [mod_level(pipeline.relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in range(1, L + 1)]
         got = recovery.srm(v, None, asg)

@@ -75,7 +75,7 @@ def test_exact_recovery_full_configuration_matrix():
                 msgs = _message_block(rng, asg)
                 t = encode_all(msgs, asg)
                 if algo == "srq":
-                    got = recovery.srq(relay_outputs(t, asg), asg, asg.shapingLevels[0])
+                    got = recovery.srq(relay_outputs(t, asg), asg)
                 elif algo == "srm":
                     v = [
                         mod_level(pipeline.relay_combination(t, m, asg), asg.modulo_level_of(m))

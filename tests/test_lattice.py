@@ -257,8 +257,9 @@ def test_encode_decode_errors():
     lp = LevelPair(2, 1)
     with pytest.raises(LengthMismatchError):
         encode_message(np.array([1, 2]), lp, spec)
-    with pytest.raises(ValueError):
-        encode_message(np.array([3]), lp, spec)
+    for digit in (-1, 3):
+        with pytest.raises(ValueError, match=r"\[0, gamma\)"):
+            encode_message(np.array([digit]), lp, spec)
     bad = ChainPoint(spec, np.array([1, 1, 0]), np.array([0, 0, 0]))
     with pytest.raises(NotInCodebookError):
         decode_codeword(bad, lp)

@@ -5,7 +5,7 @@ import pytest
 
 from ccfrelay.errors import DecodeFailure, SpecMismatchError
 from ccfrelay.galois import FieldMatrix, mat_rank
-from ccfrelay.lattice import ChainPoint, make_chain_spec, mod_level, quantize_level, real_embed
+from ccfrelay.lattice import ChainPoint, LevelPair, make_chain_spec, mod_level, quantize_level, real_embed
 from ccfrelay.pipeline import (
     ChannelInstance,
     SchemeAssignment,
@@ -48,6 +48,10 @@ def test_assignment_validation():
         small_assignment(codingLevels=(3, 4))  # must be non-increasing
     with pytest.raises(ValueError):
         small_assignment(shapingLevels=(4, 3))  # finest shaping above coarsest coding
+    with pytest.raises(ValueError, match="kShaping < kCoding"):
+        small_assignment(codingLevels=(4, 2), pi_c=(2, 1))  # source 1 shapes and codes at 2
+    with pytest.raises(ValueError, match="0 <= kShaping"):
+        small_assignment(shapingLevels=(1, -1))
     with pytest.raises(ValueError):
         small_assignment(powers=(0.0, 1.0))
     with pytest.raises(ValueError):
@@ -151,6 +155,24 @@ def test_compress_is_quantize_then_mod_at_every_level_pair():
                 assert compress(delta, 1, asg) == mod_level(quantize_level(delta, kq), ke)
                 if ke >= kq:
                     assert not np.any(compress(delta, 1, asg).digits)
+
+
+def test_level_pairs_are_built_once(monkeypatch):
+    # each source's LevelPair is checked and built with the assignment;
+    # encoding reads it and builds none
+    asg = small_assignment(pi_c=(2, 1), pi_s=(2, 1))
+    assert [(asg.coding_level(l), asg.shaping_level(l)) for l in (1, 2)] == [(3, 1), (4, 2)]
+    built = []
+    check = LevelPair.__post_init__
+    monkeypatch.setattr(LevelPair, "__post_init__", lambda lp: built.append(lp) or check(lp))
+    for l in (1, 2):
+        assert asg.level_pair(l) is asg.level_pair(l)
+        w = np.random.default_rng(l).integers(0, 3, size=(5, asg.message_length(l)))
+        for _ in range(3):
+            source_encode(w, l, asg)
+    assert built == []
+    small_assignment()
+    assert len(built) == 2
 
 
 def test_field_image_is_built_once():

@@ -40,7 +40,7 @@ def test_srq_recovers_ground_truth():
     for _ in range(30):
         gamma = int(rng.choice((2, 3, 5)))
         asg, t = exact_case(rng, gamma, 4, int(rng.choice((2, 3))), common_shaping=True)
-        got = srq(relay_outputs(t, asg), asg, asg.shapingLevels[0])
+        got = srq(relay_outputs(t, asg), asg)
         for l in range(asg.L):
             assert got[l] == t[l]
 
@@ -103,10 +103,9 @@ def test_srmq_equals_srq_under_common_shaping():
     rng = np.random.default_rng(4)
     for _ in range(15):
         asg, t = exact_case(rng, 3, 4, 2, common_shaping=True)
-        c = asg.shapingLevels[0]
         v = relay_outputs(t, asg)
         via_srmq = srmq(v, None, asg)
-        via_srq = srq(v, asg, c)
+        via_srq = srq(v, asg)
         for l in range(asg.L):
             assert via_srmq[l] == via_srq[l]
 
@@ -135,7 +134,7 @@ def test_singular_residual_reported_with_phase_and_iteration():
     c = asg.shapingLevels[0]
     v = common_shaping_outputs(t, asg, c)
     with pytest.raises(SingularResidualError) as exc:
-        srq(v, asg, c)
+        srq(v, asg)
     assert exc.value.phase == "quantization"
     assert exc.value.iteration == 1
 
@@ -152,7 +151,7 @@ def test_wrong_relay_count_rejected():
     c = asg.shapingLevels[0]
     v = common_shaping_outputs(t, asg, c)
     with pytest.raises(ValueError, match="expected 2 relay outputs, got 1"):
-        srq(v[:1], asg, c)
+        srq(v[:1], asg)
 
 
 @pytest.mark.parametrize("count", [1, 4])
@@ -194,7 +193,7 @@ def test_spec_mismatch_rejected():
     v = common_shaping_outputs(t, asg, c)
     bad = [ChainPoint(other, v[0].digits, v[0].ints), v[1]]
     with pytest.raises(SpecMismatchError, match="relay output spec differs from assignment spec"):
-        srq(bad, asg, c)
+        srq(bad, asg)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -215,7 +214,7 @@ def test_library_built_points_are_read_only():
     deltas = [relay_combination(t, m, asg) for m in range(1, asg.L + 1)]
     v = [compress(delta, m, asg) for m, delta in enumerate(deltas, 1)]
     points = deltas + v + [mod_level(deltas[0], 2)]
-    points += srq(v, asg, asg.shapingLevels[0]) + srm(v, None, asg) + srmq(v, None, asg)
+    points += srq(v, asg) + srm(v, None, asg) + srmq(v, None, asg)
     for x in points:
         assert not x.digits.flags.writeable and not x.ints.flags.writeable
 
@@ -257,6 +256,15 @@ def _oracle_dithers(rng, asg, batch):
     return dithers
 
 
+def _reference(algo):
+    """The full-array reference of a recovery algorithm, called with the
+    library's arguments; the reference srq takes its common shaping level
+    explicitly, and it is the assignment's finest."""
+    if algo is srq:
+        return lambda v, asg: exact_oracle.srq(v, asg, asg.shapingLevels[0])
+    return getattr(exact_oracle, algo.__name__)
+
+
 def _outcome(algo, *args):
     """The recovered points, or the phase and iteration of the
     SingularResidualError raised."""
@@ -286,10 +294,9 @@ def test_recovery_matches_the_full_array_reference(gamma, L):
     for batch, dithered in itertools.product(((), (6,), (2, 3)), (False, True)):
         asg = _oracle_assignment(rng, gamma, L, common_shaping=True)
         t = encode_all(_messages(rng, asg, batch), asg)
-        c = asg.shapingLevels[0]
         v = relay_outputs(t, asg)
-        got = srq(v, asg, c)
-        _assert_bit_equal(got, exact_oracle.srq(v, asg, c))
+        got = srq(v, asg)
+        _assert_bit_equal(got, _reference(srq)(v, asg))
         assert got == t
 
         asg = _oracle_assignment(rng, gamma, L, common_shaping=False)
@@ -356,14 +363,13 @@ def test_infeasible_permutations_fail_where_the_reference_fails(gamma, L):
         dithers = _oracle_dithers(rng, asg, (4,))
         t = encode_all(random_messages(rng, asg, 4), asg)
         v = relay_outputs(t, asg)
-        c = asg.shapingLevels[0]
         for algo, args, phase in (
-            (srq, (v, asg, c), "quantization"),
+            (srq, (v, asg), "quantization"),
             (srm, (v, dithers, asg), "modulo"),
             (srmq, (v, dithers, asg), "quantization" if not feasible[0] else "modulo"),
         ):
             got = _outcome(algo, *args)
-            _assert_bit_equal(got, _outcome(getattr(exact_oracle, algo.__name__), *args))
+            _assert_bit_equal(got, _outcome(_reference(algo), *args))
             ok = feasible[phase == "modulo"] and (algo is not srmq or all(feasible))
             assert isinstance(got, list) == ok
             if not ok:
@@ -375,12 +381,6 @@ def test_infeasible_permutations_fail_where_the_reference_fails(gamma, L):
 def test_recovery_rejects_out_of_range_levels():
     asg = _fixed_assignment(A=np.array([[1, 1], [1, 2]]))
     t = encode_all(random_messages(np.random.default_rng(13), asg, 4), asg)
-    coarsest = asg.codingLevels[-1]
-    for c in (-5, -1, coarsest + 1, 99):
-        with pytest.raises(ValueError):
-            srq(common_shaping_outputs(t, asg, 0), asg, c)
-    for c in (0, coarsest):
-        assert srq(common_shaping_outputs(t, asg, c), asg, c) == [mod_level(t_l, c) for t_l in t]
     v = [mod_level(relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in (1, 2)]
     finest_shaping = asg.shapingLevels[0]
     for level in (-1, 0, finest_shaping - 1, asg.spec.kMax + 1, 99):
@@ -397,10 +397,9 @@ def test_recovery_rejects_out_of_range_levels():
         lambda v, asg, k: LevelPair(k, 1),
         lambda v, asg, k: mod_level(v[0], k),
         lambda v, asg, k: quantize_level(v[0], k),
-        lambda v, asg, k: srq(v, asg, k),
         lambda v, asg, k: srm(v, None, asg, fine_level=k),
     ],
-    ids=["LevelPair", "mod_level", "quantize_level", "srq", "srm"],
+    ids=["LevelPair", "mod_level", "quantize_level", "srm"],
 )
 def test_levels_that_are_not_integers_rejected(call, level):
     # a fraction must not reach a digit slice (a bare TypeError) or build
@@ -444,12 +443,12 @@ def test_residual_systems_are_solved_once_per_assignment_and_kind(gamma, monkeyp
         t = encode_all(random_messages(rng, asg, 3), asg)
         v = relay_outputs(t, asg)
         dithers = _oracle_dithers(rng, asg, (3,))
-        calls = [(srq, (v, asg, asg.shapingLevels[0])), (srm, (v, dithers, asg)), (srmq, (v, dithers, asg))]
+        calls = [(srq, (v, asg)), (srm, (v, dithers, asg)), (srmq, (v, dithers, asg))]
         first = [_outcome(algo, *args) for algo, args in calls]
         assert len(inversions) == 2 * L
         inversions.clear()
         for (algo, args), got in zip(calls, first):
-            _assert_bit_equal(got, _outcome(getattr(exact_oracle, algo.__name__), *args))
+            _assert_bit_equal(got, _outcome(_reference(algo), *args))
             _assert_bit_equal(_outcome(algo, *args), got)
             raised += isinstance(got, tuple)
         assert inversions == []
@@ -526,7 +525,7 @@ def exact_chain_records():
                 "dithered": dithered,
                 "combination": [_point_record(x) for x in deltas],
                 "compress": [_point_record(x) for x in v],
-                "srq": _recovered(srq, v, asg, asg.shapingLevels[0]),
+                "srq": _recovered(srq, v, asg),
                 "srm": _recovered(srm, v, dithers, asg),
                 "srmq": _recovered(srmq, v, dithers, asg),
             }
