@@ -19,7 +19,10 @@ schemes every row, since p_l <= P_l admits a common power.  Its
 constructor builds each per-row table once: coefficients and rates, the
 forwarding log-ratios, the index of each pi_d a row can take, and
 permutation feasibility (once per distinct coefficient matrix and
-ordering); the variant bounds then run in blocks of rows.  Only
+ordering); the variant bounds then run in blocks of rows.  The tables
+and the metrics of coefficient selection keep the row axis last: their
+other axes hold 2 to L! entries, so each numpy operation then runs one
+long contiguous loop per slice rather than one short loop per row.  Only
 coefficient selection depends on L.  Each relay takes its smallest
 candidate row (reduced basis rows and unit vectors) in (metric,
 coordinates) that extends the rank over F_gamma: on (N,) columns after
@@ -65,12 +68,13 @@ SCHEMES = tuple(_SCHEME_ROWS)
 
 # Array elements per block of the batched evaluator.  The largest
 # temporaries hold 2 L^3 elements per grid row in coefficient selection
-# (candidate rows of every relay), L! * L * L in the bounds (every pi_e) and
-# 4^L + L! * L per distinct coefficient matrix in the feasibility (minors and
-# feasible permutations), so blocks take as many rows as fit this budget:
-# about 8 MiB per float temporary, whatever the mesh size.  A block holds at
-# least one row, so evaluate_all rejects the L whose one row of bounds
-# exceeds the budget (L! * L * L > _BLOCK_ELEMS, L >= 8).
+# (candidate rows of every relay), L! * L * L in the bounds (the limits of
+# every pi_e, relay and source) and 4^L + L! * L per distinct coefficient
+# matrix in the feasibility (minors and feasible permutations), so blocks
+# take as many rows as fit this budget: about 8 MiB per float temporary,
+# whatever the mesh size.  A block holds at least one row, so evaluate_all
+# rejects the L whose one row of bounds exceeds the budget
+# (L! * L * L > _BLOCK_ELEMS, L >= 8).
 _BLOCK_ELEMS = 1 << 20
 
 
@@ -94,7 +98,8 @@ class OptimizerConfig:
     gammaOpt: int = 257
 
     def __post_init__(self):
-        if not isinstance(self.nBrute, (int, np.integer)) or self.nBrute < 1:
+        # bool is an int subclass: True would pass as nBrute = 1
+        if not isinstance(self.nBrute, (int, np.integer)) or isinstance(self.nBrute, bool) or self.nBrute < 1:
             raise ConfigError(f"nBrute must be an integer >= 1, got {self.nBrute!r}")
         try:
             _check_prime(self.gammaOpt)
@@ -105,16 +110,21 @@ class OptimizerConfig:
 def _gram(H, p_rows) -> np.ndarray:
     """Effective-noise metrics of every relay at every grid row.
 
-    H: (L_relays, L) channel rows; p_rows: (N, L) powers.  Returns (N,
-    L_relays, L, L), with the operation order of the scalar closed form
+    H: (L_relays, L) channel rows; p_rows: (N, L) powers.  Returns (L_relays,
+    L, L, N), rows last, with the operation order of the scalar closed form
     (``np.vecdot`` is the same dot kernel as ``@`` on vectors).  Raises
     ReductionError when an entry is not finite (the products overflowed),
     since neither reduction can order such metrics."""
+    p_t = np.ascontiguousarray(p_rows.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        ph = p_rows[:, None, :] * H[None]
-        denom = 1.0 + np.vecdot(H[None], ph)
-        diag = p_rows[:, None, :, None] * np.eye(H.shape[1])
-        D = diag - ph[..., :, None] * ph[..., None, :] / denom[..., None, None]
+        # the denominators dot each relay's row with its powered rows, rows
+        # first: the same kernel, and bits, as the scalar form
+        denom = 1.0 + np.vecdot(H[:, None, :], H[:, None, :] * p_rows)
+        ph = H[:, :, None] * p_t
+        # diag(p) - ph ph^T / denom, computed in one buffer
+        D = ph[:, :, None] * ph[:, None, :]
+        D /= denom[:, None, None]
+        np.subtract(p_t[:, None, :] * np.eye(H.shape[1])[..., None], D, out=D)
     if not np.all(np.isfinite(D)):
         raise ReductionError("the effective-noise metric is not finite: the channel and powers overflow")
     return D
@@ -248,19 +258,19 @@ def _lagrange2(a, b, c):
 
 
 def _metric2(x, y, D):
-    """Metric of the rows (x, y) under D (N, 2, 2), summed in the order of
+    """Metric of the rows (x, y) under D (2, 2, N), summed in the order of
     ``np.einsum("nci,nij,ncj->nc")``."""
     x, y = x.astype(float), y.astype(float)
-    return ((x * D[:, 0, 0] * x + x * D[:, 0, 1] * y) + y * D[:, 1, 0] * x) + y * D[:, 1, 1] * y
+    return ((x * D[0, 0] * x + x * D[0, 1] * y) + y * D[1, 0] * x) + y * D[1, 1] * y
 
 
 def _pick2(D, ok):
     """Columns (x, y) of one relay's smallest candidate row at L = 2 that
     ``ok(x, y)`` admits, lexicographically in (metric, x, y), the first one
     winning exact ties.  The candidates are the two reduced rows of D
-    (N, 2, 2) and the unit vectors, sign-normalized; ``ok`` admits one of
+    (2, 2, N) and the unit vectors, sign-normalized; ``ok`` admits one of
     the unit vectors on every row."""
-    u0, u1, v0, v1 = _lagrange2(D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
+    u0, u1, v0, v1 = _lagrange2(D[0, 0], D[0, 1], D[1, 1])
     x, y, met = 0, 0, np.inf
     for xk, yk in ((u0, u1), (v0, v1), (1, 0), (0, 1)):
         sign = np.where(np.where(xk != 0, xk, yk) < 0, -1, 1)
@@ -274,27 +284,28 @@ def _pick2(D, ok):
 def _select_A2(D: np.ndarray, gamma: int) -> np.ndarray:
     """Batched coefficient selection at L = 2.
 
-    ``D`` has shape (N, 2, 2, 2), indexed by row then relay.  Relay 1 takes
-    its smallest candidate nonzero modulo gamma, relay 2 its smallest one
-    independent of relay 1's modulo gamma.  Returns the integer matrices
-    (N, 2, 2)."""
-    x1, y1 = _pick2(D[:, 0], lambda x, y: (x % gamma != 0) | (y % gamma != 0))
-    x2, y2 = _pick2(D[:, 1], lambda x, y: (x1 * y - y1 * x) % gamma != 0)
+    ``D`` has shape (2, 2, 2, N), indexed by relay, rows last, as _gram
+    returns it.  Relay 1 takes its smallest candidate nonzero modulo gamma,
+    relay 2 its smallest one independent of relay 1's modulo gamma.
+    Returns the integer matrices (N, 2, 2)."""
+    x1, y1 = _pick2(D[0], lambda x, y: (x % gamma != 0) | (y % gamma != 0))
+    x2, y2 = _pick2(D[1], lambda x, y: (x1 * y - y1 * x) % gamma != 0)
     return np.stack([x1, y1, x2, y2], axis=1).reshape(-1, 2, 2)
 
 
 def _select_A(D: np.ndarray, gamma: int) -> np.ndarray:
     """Batched coefficient selection for any L.
 
-    ``D`` has shape (N, L, L, L), indexed by row then relay.  Each relay's
-    candidates are the rows of its reduced Cholesky basis and the unit
-    vectors, sign-normalized; relay by relay, the smallest of them in
-    (metric, coordinates) outside the span of the rows already chosen
-    (modulo gamma) is taken, the first one winning exact ties.  Over a
-    prime gamma a unit vector always qualifies.  Returns the integer
-    matrices (N, L, L)."""
-    N, L = D.shape[:2]
-    flat = D.reshape(N * L, L, L)
+    ``D`` has shape (L, L, L, N), indexed by relay, rows last, as _gram
+    returns it.  Each relay's candidates are the rows of its reduced
+    Cholesky basis and the unit vectors, sign-normalized; relay by relay,
+    the smallest of them in (metric, coordinates) outside the span of the
+    rows already chosen (modulo gamma) is taken, the first one winning
+    exact ties.  Over a prime gamma a unit vector always qualifies.
+    Returns the integer matrices (N, L, L)."""
+    L, N = D.shape[0], D.shape[-1]
+    # the Cholesky factorization and LLL run row by row: rows first
+    flat = np.moveaxis(D, -1, 0).reshape(N * L, L, L)
     _, T = _lll_batched(np.linalg.cholesky(flat))
     cand = np.concatenate([T, np.broadcast_to(np.eye(L, dtype=np.int64), T.shape)], axis=1)
     lead = np.take_along_axis(cand, np.argmax(cand != 0, axis=2)[..., None], axis=2)
@@ -339,7 +350,7 @@ def select_coefficients(H, p, gamma: int) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     p = np.asarray(p, dtype=float)
     D = _gram(H, np.atleast_2d(p))
-    A = _select_A2(D, gamma) if D.shape[1] == 2 else _select_A(D, gamma)
+    A = _select_A2(D, gamma) if len(D) == 2 else _select_A(D, gamma)
     return A if p.ndim == 2 else A[0]
 
 
@@ -410,18 +421,19 @@ def _coding_key(p, r_comp):
 
 
 def _argbest(vals, r):
-    """Flat index of the largest finite value of ``vals``, ties broken by the
-    lexicographically largest rate tuple (``r`` has shape vals.shape + (L,))
-    and then by the first index.  None when nothing is finite."""
-    flat = vals.reshape(-1)
-    finite = np.isfinite(flat)
-    if not np.any(finite):
+    """(choice, row) of the largest finite value of ``vals`` (choices, rows),
+    ties broken by the lexicographically largest rate tuple (``r`` has shape
+    (choices, L, rows)) and then by the first (row, choice).  None when
+    nothing is finite."""
+    best = np.max(vals, where=np.isfinite(vals), initial=-np.inf)
+    if best == -np.inf:
         return None
-    best = np.max(flat[finite])
-    ties = np.flatnonzero(flat == best)
-    r_flat = r.reshape(-1, r.shape[-1])[ties]
-    keys = tuple(-r_flat[:, i] for i in reversed(range(r_flat.shape[1])))
-    return int(ties[np.lexsort(keys)[0]])
+    ke, row = np.nonzero(vals == best)
+    r_ties = r[ke, :, row]
+    # np.lexsort's last key is the primary one
+    keys = (ke, row) + tuple(-r_ties[:, i] for i in reversed(range(r_ties.shape[1])))
+    pick = np.lexsort(keys)[0]
+    return int(ke[pick]), int(row[pick])
 
 
 class _Grid:
@@ -434,7 +446,13 @@ class _Grid:
     pi_d = pi_c o sigma^-1, and the feasible pi_d and pi_e.  Feasibility is
     computed once per distinct (A, pi_c) or (A, pi_s), from the nonsingular
     square submatrices of A, and shared by the rows that have it.  The
-    variant search then runs in blocks."""
+    variant search then runs in blocks.
+
+    The tables the variant search reads (the nonzero mask of A, the
+    computation rates, the log-ratios, the feasibility masks) are stored
+    rows last: their other axes hold 2 to L! elements, so with rows first
+    every broadcast, fold and sum would run one short inner loop per row
+    instead of one long contiguous loop per slice."""
 
     def __init__(self, H, caps, p_rows, gamma):
         self.H = np.asarray(H, dtype=float)
@@ -445,16 +463,19 @@ class _Grid:
         self.block = _block_rows(math.factorial(L) * L * L)
         step = _block_rows(2 * L**3)
         blocks = [self._select(self.p[s : s + step]) for s in range(0, len(self.p), step)]
-        self.A, self.r_comp = (np.concatenate(part) for part in zip(*blocks))
-        self.mask = self.A != 0
+        self.A, r_comp = (np.concatenate(part) for part in zip(*blocks))
+        # mask[m, l, n]: relay m combines source l at row n
+        self.mask = np.ascontiguousarray(np.moveaxis(self.A != 0, 0, -1))
+        self.r_comp = np.ascontiguousarray(r_comp.T)
         self.pi_s = _rank_perms(self.p)
-        self.pi_c = _rank_perms(_coding_key(self.p, self.r_comp))
+        self.pi_c = _rank_perms(_coding_key(self.p, r_comp))
         self.perms = np.array(list(itertools.permutations(range(1, L + 1))))
-        # half_log_ratios[n, i, l] = 0.5 * log2(p_sorted[n, i] / p[n, l]), with
+        # half_log_ratios[i, l, n] = 0.5 * log2(p_sorted[n, i] / p[n, l]), with
         # p_sorted each row's powers ascending: the offset of source l under the
         # modulo lattice of the (i + 1)-th smallest power, for every variant
-        p_sorted = np.sort(self.p, axis=1, kind="stable")
-        self.half_log_ratios = 0.5 * np.log2(p_sorted[:, :, None] / self.p[:, None, :])
+        p_t = np.ascontiguousarray(self.p.T)
+        p_sorted = np.sort(p_t, axis=0, kind="stable")
+        self.half_log_ratios = 0.5 * np.log2(p_sorted[:, None] / p_t)
         # perms are in lexicographic order: the index of a permutation is the
         # rank of its base-L code among theirs
         radix = L ** np.arange(L - 1, -1, -1)
@@ -465,7 +486,7 @@ class _Grid:
         first, self.pi_c_group = _group_rows(kc[:, None])
         self.pi_d_index = np.searchsorted(codes, (self.pi_c[first] - 1) @ radix[self.perms - 1].T)
         # feasible pi_d (given pi_c) and pi_e (given pi_s), in perms order: a
-        # mask (groups, L!) over the distinct (A, pi) and the group (N,) of
+        # mask (L!, groups) over the distinct (A, pi) and the group (N,) of
         # every row
         a_group = _group_rows(self.A.reshape(len(self.A), -1))[1]
         chunk = _block_rows(4**L + self.perms.size)
@@ -476,7 +497,7 @@ class _Grid:
                 _feasible_perms(self.A[g], pi[g], self.perms, gamma, kind)
                 for g in (first[s : s + chunk] for s in range(0, len(first), chunk))
             ]
-            feasible.append((np.concatenate(mask), group))
+            feasible.append((np.ascontiguousarray(np.concatenate(mask).T), group))
         self.feas_d, self.feas_e = feasible
 
     def _select(self, p):
@@ -492,16 +513,19 @@ class _Grid:
 
     def _bounds(self, variant, blk):
         """Yield (kd, bounds) for a block of rows: the forwarding bounds
-        (rows, pi_e choices, L), and the index (rows,) of the pi_d of each
+        (pi_e choices, L, rows), and the index (rows,) of the pi_d of each
         row they hold at (None when pi_d is not searched)."""
         caps = self.caps
-        # relay m's modulo lattice is that of rank pi_e(m), and the symmetric
-        # one is the coarsest, of the largest power
-        hl = self.half_log_ratios[blk]
+        hl = self.half_log_ratios[..., blk]
         if variant in ("srm", "symmetric"):
-            off = hl[:, None, -1:, :] if variant == "symmetric" else hl[:, self.perms - 1, :]
-            limits = np.where(self.mask[blk][:, None], caps[None, None, :, None] - off, np.inf)
-            yield None, _fold(np.minimum, limits, 2)
+            # relay m's modulo lattice is that of rank pi_e(m), and the
+            # symmetric one is the coarsest, rank L, for every relay; the
+            # limits are computed in the buffer of the gathered offsets
+            ranks = self.perms if variant == "srm" else np.full((1, self.L), self.L)
+            limits = hl[ranks - 1]
+            np.subtract(caps[:, None, None], limits, out=limits)
+            np.copyto(limits, np.inf, where=~self.mask[..., blk])
+            yield None, _fold(np.minimum, limits, 1)
             return
         # sigma[l], the relay forwarding source l, runs over every bijection;
         # each row's pi_d = pi_c o sigma^-1 then takes each value once, and
@@ -510,9 +534,9 @@ class _Grid:
         for s, sigma in enumerate(self.perms - 1):
             kd = pi_d_index[:, s]
             if variant == "srq":
-                yield kd, caps[sigma][None, None, :]
+                yield kd, caps[sigma][None, :, None]
             else:
-                yield kd, caps[sigma] - hl[:, self.perms[:, sigma] - 1, np.arange(self.L)]
+                yield kd, caps[sigma][:, None] - hl[self.perms[:, sigma] - 1, np.arange(self.L)]
 
     def evaluate(self, variant, rows=slice(None)):
         """Best (value, row, pi_d, pi_e) over the grid rows of the slice
@@ -525,21 +549,24 @@ class _Grid:
         first, stop, _ = rows.indices(len(self.p))
         for start in range(first, stop, self.block):
             blk = slice(start, min(start + self.block, stop))
-            rows_d = self.feas_d[0][self.feas_d[1][blk]] if variant in ("srq", "srmq") else None
-            rows_e = self.feas_e[0][self.feas_e[1][blk]] if variant in ("srm", "srmq") else None
+            group_d = self.feas_d[1][blk] if variant in ("srq", "srmq") else None
+            ok_e = self.feas_e[0].take(self.feas_e[1][blk], axis=1) if variant in ("srm", "srmq") else None
             for kd, bounds in self._bounds(variant, blk):
-                ok = _fold(np.logical_and, bounds >= 0, 2)
-                if rows_d is not None:
-                    ok = ok & np.take_along_axis(rows_d, kd[:, None], axis=1)
-                if rows_e is not None:
-                    ok = ok & rows_e
-                r = np.maximum(np.minimum(self.r_comp[blk, None, :], bounds), 0.0)
-                vals = np.where(ok, np.sum(r, axis=2), -np.inf)
+                ok = _fold(np.logical_and, bounds >= 0, 1)
+                if group_d is not None:
+                    # each row's pi_d, read from the flattened (L!, groups) mask
+                    ok = ok & self.feas_d[0].take(kd * self.feas_d[0].shape[1] + group_d)
+                if ok_e is not None:
+                    ok = ok & ok_e
+                r = np.minimum(self.r_comp[:, blk], bounds)
+                np.maximum(r, 0.0, out=r)
+                # a left-to-right sum, which is np.sum's order on axes shorter than 8
+                vals = np.where(ok, _fold(np.add, r, 1), -np.inf)
                 pick = _argbest(vals, r)
                 if pick is None:
                     continue
-                row, ke = divmod(pick, vals.shape[1])
-                key = (float(vals[row, ke]), tuple(r[row, ke]))
+                ke, row = pick
+                key = (float(vals[ke, row]), tuple(r[ke, :, row]))
                 order = (start + row, 0 if kd is None else int(kd[row]), ke)
                 if best is None or key > best[0] or (key == best[0] and order < best[1]):
                     best = (key, order)

@@ -59,9 +59,11 @@ def second_hop_region(g, P_R) -> SecondHopRegion:
 
 def _fold(op, x, axis: int):
     """``op.reduce(x, axis)`` as a running ``op`` over the slices of a short
-    axis, which numpy reduces an order of magnitude more slowly.  Only for
-    operations whose result does not depend on the order (minimum, maximum,
-    logical and/or), so the result is the same.  May return a view of x."""
+    axis, left to right, which numpy reduces an order of magnitude more
+    slowly.  The result is op.reduce's for minimum, maximum and logical
+    and/or, whose result does not depend on the order, and for add on axes
+    shorter than 8, which numpy also sums left to right.  May return a view
+    of x."""
     lead = (slice(None),) * axis
     return functools.reduce(op, (x[lead + (i,)] for i in range(1, x.shape[axis])), x[lead + (0,)])
 

@@ -18,7 +18,7 @@ from ccfrelay.optimizer import _coding_key, _gram, _rank_perms, pi_d_is_feasible
 def gram_matrix(h_m, p) -> np.ndarray:
     """Metric of one relay whose quadratic form in a coefficient row is the
     effective-noise power at the optimal scaling coefficient."""
-    return _gram(np.asarray(h_m, dtype=float)[None], np.asarray(p, dtype=float)[None])[0, 0]
+    return _gram(np.asarray(h_m, dtype=float)[None], np.asarray(p, dtype=float)[None])[0, ..., 0]
 
 
 def gso(B: np.ndarray):

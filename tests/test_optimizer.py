@@ -35,7 +35,7 @@ from ccfrelay.optimizer import (
 )
 from ccfrelay.lattice import mod_level
 from ccfrelay.pipeline import ChannelInstance, compress, mmse_noise_power, relay_combination
-from ccfrelay.rates import second_hop_region
+from ccfrelay.rates import computation_rate, second_hop_region
 from ccfrelay.recovery import srm, srmq
 from ccfrelay.verify import encode_all, random_messages
 from scalar_oracle import (
@@ -50,7 +50,7 @@ from scalar_oracle import (
 def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(nBrute=0)
-    for n in (2.5, 2.0, "3"):
+    for n in (2.5, 2.0, "3", True, False, np.True_):
         with pytest.raises(ConfigError, match="nBrute must be an integer"):
             OptimizerConfig(nBrute=n)
     with pytest.raises(ConfigError):
@@ -161,13 +161,14 @@ def test_select_coefficients_always_full_rank():
 
 
 def gram_stacks_L2():
-    """L = 2 metric stacks (N, 2, 2, 2), indexed by row then relay: the
-    effective-noise metrics of random channels and powers, and small
-    integer metrics, which make exact metric ties (D00 == D11 among them)
-    and reduced bases that equal the unit vectors."""
+    """L = 2 metric stacks (N, 2, 2, 2), indexed by row then relay (the
+    library takes them rows last): the effective-noise metrics of random
+    channels and powers, and small integer metrics, which make exact metric
+    ties (D00 == D11 among them) and reduced bases that equal the unit
+    vectors."""
     rng = np.random.default_rng(11)
     H = rng.normal(size=(2, 2))
-    real = _gram(H, 10 ** rng.uniform(-1.0, 4.0, size=(300, 2)))
+    real = np.moveaxis(_gram(H, 10 ** rng.uniform(-1.0, 4.0, size=(300, 2))), -1, 0)
     a, b, c = rng.integers(1, 7, size=600), rng.integers(-6, 7, size=600), rng.integers(1, 7, size=600)
     c[::3] = a[::3]
     keep = a * c > b * b
@@ -187,7 +188,7 @@ def test_select_A2_matches_scalar_oracle():
     assert np.sum((np.abs(u0) + np.abs(u1)) == 1) > 50
     for D in stacks:
         for gamma in (2, 3, 5, 257):
-            A = _select_A2(D, gamma)
+            A = _select_A2(np.moveaxis(D, 0, -1), gamma)
             want = np.stack([scalar_select_from_gram(Ds, gamma) for Ds in D])
             assert np.array_equal(A, want)
 
@@ -243,7 +244,7 @@ def test_select_A_matches_scalar_oracle_on_integer_metrics(L):
     assert np.sum(np.any(~distinct, axis=2)) > 30
     for gamma in (2, 3, 5, 257):
         want = np.stack([scalar_select_from_gram(Ds, gamma) for Ds in D])
-        assert np.array_equal(_select_A(D, gamma), want)
+        assert np.array_equal(_select_A(np.moveaxis(D, 0, -1), gamma), want)
 
 
 @pytest.mark.parametrize("gamma", [2, 3])
@@ -261,7 +262,7 @@ def test_selected_rows_always_extend_the_rank(gamma):
         for _ in range(6):
             H = rng.normal(size=(L, L))
             p = 10 ** rng.uniform(-1.0, 3.0, size=(40, L))
-            D = _gram(H, p)
+            D = np.moveaxis(_gram(H, p), -1, 0)
             A = select_coefficients(H, p, gamma)
             for a, t, d in zip(A, reduced_rows(D), D):
                 assert mat_rank(FieldMatrix(a, gamma)) == L
@@ -283,7 +284,7 @@ def test_metric2_matches_einsum_bitwise():
         u0, u1, v0, v1 = _lagrange2(D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
         ones, zeros = np.ones_like(u0), np.zeros_like(u0)
         cand = np.stack([np.stack(xy, axis=1) for xy in ((u0, u1), (-v0, -v1), (ones, zeros), (zeros, ones))], axis=1)
-        met = np.stack([_metric2(cand[:, k, 0], cand[:, k, 1], D) for k in range(4)], axis=1)
+        met = np.stack([_metric2(cand[:, k, 0], cand[:, k, 1], np.moveaxis(D, 0, -1)) for k in range(4)], axis=1)
         assert np.array_equal(met, np.einsum("nci,nij,ncj->nc", cand, D, cand))
         assert np.array_equal(met, np.stack([np.einsum("ci,ij,cj->c", c, d, c) for c, d in zip(cand, D)]))
 
@@ -445,7 +446,7 @@ def test_batched_matches_scalar_oracle(L, nBrute, draws):
             slow = ScalarRows(H, caps, rows, cfg.gammaOpt)
             assert np.array_equal(fast.A, np.stack([row["A"] for row in slow.rows]))
             if L > 2:
-                _, T = _lll_batched(np.linalg.cholesky(_gram(H, rows).reshape(-1, L, L)))
+                _, T = _lll_batched(np.linalg.cholesky(np.moveaxis(_gram(H, rows), -1, 0).reshape(-1, L, L)))
                 want = np.concatenate([relay_transforms(H, p) for p in rows])
                 assert np.array_equal(T, want)
             for variant in ("symmetric", "srq", "srm", "srmq"):
@@ -528,29 +529,69 @@ def test_stacked_grid_slices_match_separate_grids(monkeypatch, L, nBrute, max_ro
                 start = span.stop
 
 
+@pytest.mark.parametrize("L", [2, 3])
+def test_exact_ties_go_to_the_first_row_and_permutations(L):
+    # a grid of three copies of a few rows, with equal caps: each copy ties
+    # its row exactly, and on a common-power row every offset is 0, so every
+    # feasible pi_d and pi_e ties too.  With the small cap most sources are
+    # forwarding-limited, so distinct common-power rows tie as well.  Every
+    # variant must return the first tied row, and there the first feasible
+    # pi_d and pi_e in perms order, as the scalar reference does.  Some
+    # draws tie a pi_e of one row with an earlier pi_e of a later row, so
+    # the search must order ties by row before pi_e
+    cfg = OptimizerConfig(nBrute=3)
+    for cap, seed in itertools.product((0.05, 4.0), range(6)):
+        rng = np.random.default_rng(seed)
+        P = 10 ** rng.uniform(0.5, 2.0, size=L)
+        few = np.concatenate([_grid_rows(P, True, cfg), _grid_rows(P, False, cfg)[:4]])
+        rows = np.tile(few, (3, 1))
+        H = rng.normal(size=(L, L))
+        caps = np.full(L, cap)
+        ctx = _Grid(H, caps, rows, cfg.gammaOpt)
+        slow = ScalarRows(H, caps, rows, cfg.gammaOpt)
+        for variant in ("symmetric", "srq", "srm", "srmq"):
+            got = ctx.evaluate(variant)
+            assert got == slow.evaluate(variant)
+            _, row, pi_d, pi_e = got
+            assert row < len(few)
+            if np.all(rows[row] == rows[row, 0]):
+                one = slice(row, row + 1)
+                for kind, pi, want in (("d", ctx.pi_c, pi_d), ("e", ctx.pi_s, pi_e)):
+                    feasible = _feasible_perms(ctx.A[one], pi[one], ctx.perms, cfg.gammaOpt, kind)[0]
+                    searched = variant == "srmq" or variant == {"d": "srq", "e": "srm"}[kind]
+                    assert want == tuple(ctx.perms[np.argmax(feasible) if searched else 0].tolist())
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_bounds_match_direct_log_ratios(L):
-    # _bounds reads the forwarding log-ratios from one (N, L, L) table per
-    # grid; each bound must be bit for bit the one computed from the
-    # ratios directly, for every pi_e and (srmq) every bijection sigma
+    # _bounds reads the forwarding log-ratios from one (L, L, N) table per
+    # grid, rows last; each bound must be bit for bit the one computed from
+    # the ratios directly, row by row, for every pi_e and (srmq) every
+    # bijection sigma
     rng = np.random.default_rng(17 + L)
     p = rng.uniform(0.5, 200.0, size=(12, L))
     p[:3] = p[:3, :1]
     p[3:6, -1] = p[3:6, 0]
     caps = rng.uniform(1.0, 6.0, size=L)
     ctx = _Grid(rng.normal(size=(L, L)), caps, p, 257)
+    mask = ctx.A != 0
+    assert np.array_equal(ctx.mask, np.moveaxis(mask, 0, -1))
     ps = np.sort(p, axis=1)
+
+    def rows_last(want):
+        return np.moveaxis(want, 0, -1)
+
     for variant in ("symmetric", "srm"):
         pe_pow = ps[:, None, -1:] if variant == "symmetric" else ps[:, ctx.perms - 1]
         off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
-        want = np.min(np.where(ctx.mask[:, None], caps[None, None, :, None] - off, np.inf), axis=2)
+        want = rows_last(np.min(np.where(mask[:, None], caps[None, None, :, None] - off, np.inf), axis=2))
         [(kd, got)] = ctx._bounds(variant, slice(None))
         assert kd is None and got.shape == want.shape and got.tobytes() == want.tobytes()
     pe_pow = ps[:, ctx.perms - 1]
     got = list(ctx._bounds("srmq", slice(None)))
     assert len(got) == len(ctx.perms)
     for sigma, (_, bounds) in zip(ctx.perms - 1, got):
-        want = caps[sigma] - 0.5 * np.log2(pe_pow[:, :, sigma] / p[:, None, :])
+        want = rows_last(caps[sigma] - 0.5 * np.log2(pe_pow[:, :, sigma] / p[:, None, :]))
         assert bounds.shape == want.shape and bounds.tobytes() == want.tobytes()
 
 
@@ -558,7 +599,7 @@ def test_bounds_match_direct_log_ratios(L):
 def test_grid_tables_match_their_definitions(L):
     # the constructor's tables, read back row by row: pi_d_index holds the
     # index of pi_c o sigma^-1 for each row's pi_c and every sigma, and the
-    # feasibility masks, one row per distinct (A, pi), gathered by each
+    # feasibility masks, one column per distinct (A, pi), gathered by each
     # row's group are that row's own feasible pi_d and pi_e
     rng = np.random.default_rng(40 + L)
     P = 10 ** rng.uniform(0.5, 2.4, size=L)
@@ -573,8 +614,13 @@ def test_grid_tables_match_their_definitions(L):
         for s, sigma in enumerate(ctx.perms):
             assert ctx.perms[kd[s]].tolist() == ctx.pi_c[n][np.argsort(sigma)].tolist()
     for kind, pi, (mask, group) in (("d", ctx.pi_c, ctx.feas_d), ("e", ctx.pi_s, ctx.feas_e)):
-        assert len(mask) == len({(A.tobytes(), p.tobytes()) for A, p in zip(ctx.A, pi)}) <= len(rows)
-        assert np.array_equal(mask[group], _feasible_perms(ctx.A, pi, ctx.perms, 257, kind))
+        assert mask.shape[1] == len({(A.tobytes(), p.tobytes()) for A, p in zip(ctx.A, pi)}) <= len(rows)
+        assert np.array_equal(mask[:, group], _feasible_perms(ctx.A, pi, ctx.perms, 257, kind).T)
+    # the rows-last rate and log-ratio tables, bit for bit their definitions
+    assert ctx.r_comp.tobytes() == computation_rate(ctx.H, ctx.A, rows).T.tobytes()
+    ps = np.sort(rows, axis=1)
+    want = 0.5 * np.log2(ps[:, :, None] / rows[:, None, :])
+    assert ctx.half_log_ratios.tobytes() == np.moveaxis(want, 0, -1).tobytes()
 
 
 def test_evaluate_all_selects_once_per_draw(monkeypatch):

@@ -100,6 +100,22 @@ def test_computation_rate_formula():
     assert np.array_equal(computation_rate(H, np.stack([A, A]), np.stack([p, p])), np.stack([r, r]))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fold_add_has_the_bits_of_numpy_sum_on_short_axes(n):
+    # the grid search sums each candidate's source rates as a left-to-right
+    # _fold over the source axis of its rows-last tables; on axes shorter
+    # than 8 that must be bit for bit np.sum over a contiguous last axis,
+    # for rates that span many magnitudes, with zeros, exact ties and inf
+    rng = np.random.default_rng(50 + n)
+    x = rng.uniform(0.0, 1.0, size=(2000, 3, n)) * 10.0 ** rng.integers(-12, 4, size=(2000, 3, n))
+    x[rng.uniform(size=x.shape) < 0.1] = 0.0
+    ties = rng.uniform(size=x.shape[:2]) < 0.2
+    x[ties] = x[ties][:, :1]
+    x[rng.uniform(size=x.shape) < 0.02] = np.inf
+    got = rates._fold(np.add, np.ascontiguousarray(np.transpose(x, (1, 2, 0))), 1)
+    assert got.tobytes() == np.sum(x, axis=-1).T.tobytes()
+
+
 def test_srq_forwarding_conserves_sum_rate():
     rng = np.random.default_rng(1)
     for _ in range(100):
