@@ -17,17 +17,17 @@ over one power grid, the per-source mesh followed by the common-power
 rows; scf and scf-q search only the common-power rows, and the acf
 schemes every row, since p_l <= P_l admits a common power.  Its
 constructor builds each per-row table once: coefficients and rates, the
-forwarding log-ratios, the index of each pi_d a row can take, and
-permutation feasibility (once per distinct coefficient matrix and
-ordering); the variant bounds then run in blocks of rows.  The tables
-and the metrics of coefficient selection keep the row axis last: their
-other axes hold 2 to L! entries, so each numpy operation then runs one
-long contiguous loop per slice rather than one short loop per row.  Only
-coefficient selection depends on L.  Each relay takes its smallest
-candidate row (reduced basis rows and unit vectors) in (metric,
+forwarding log-ratios, and permutation feasibility (once per distinct
+coefficient matrix and ordering; the feasible pi_d are indexed by
+sigma, the relay that forwards each source); the variant bounds then run in blocks of
+rows.  The tables and the metrics of coefficient selection keep the row
+axis last: their other axes hold 2 to L! entries, so each numpy operation
+then runs one long contiguous loop per slice rather than one short loop
+per row.  Only coefficient selection depends on L.  Each relay takes its
+smallest candidate row (reduced basis rows and unit vectors) in (metric,
 coordinates) that extends the rank over F_gamma: on (N,) columns after
-the exact two-dimensional reduction at L = 2, and on (N, 2L) arrays
-after a batched LLL otherwise.
+the exact two-dimensional reduction at L = 2, and on (N, 2L) arrays after
+a batched LLL otherwise.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ SCHEMES = tuple(_SCHEME_ROWS)
 # Array elements per block of the batched evaluator.  The largest
 # temporaries hold 2 L^3 elements per grid row in coefficient selection
 # (candidate rows of every relay), L! * L * L in the bounds (the limits of
-# every pi_e, relay and source) and 4^L + L! * L per distinct coefficient
-# matrix in the feasibility (minors and feasible permutations), so blocks
-# take as many rows as fit this budget: about 8 MiB per float temporary,
-# whatever the mesh size.  A block holds at least one row, so evaluate_all
-# rejects the L whose one row of bounds exceeds the budget
-# (L! * L * L > _BLOCK_ELEMS, L >= 8).
+# every pi_e, relay and source) and 4^L + L! * L * L per distinct (A, pi)
+# in the feasibility (minors, and the residual relays of every iteration
+# for every permutation's relay labels), so blocks take as many rows as
+# fit this budget: about 8 MiB per float temporary, whatever the mesh size.
+# A block holds at least one row, so evaluate_all rejects the L whose one
+# row of bounds exceeds the budget (L! * L * L > _BLOCK_ELEMS, L >= 8).
 _BLOCK_ELEMS = 1 << 20
 
 
@@ -379,22 +379,23 @@ def _group_rows(keys):
 
 
 def _level_masks(pi_src, pi_rel, kind: str) -> tuple:
-    """Bit masks (X, L) of the residual sources and relays of recovery
-    iterations t = 1..L for each source labelling pi_src (X, L) and each
-    relay labelling pi_rel (X', L), by residual_sets."""
-    L = pi_src.shape[1]
-    sets = residual_sets(pi_src[:, None, :], pi_rel[:, None, :], np.arange(1, L + 1)[:, None], kind)
-    return tuple(np.sum(mask << np.arange(L), axis=2) for mask in sets)
+    """Bit masks (..., L) of the residual sources and relays of recovery
+    iterations t = 1..L for each source labelling pi_src (..., L) and each
+    relay labelling pi_rel (..., L), by residual_sets."""
+    L = pi_src.shape[-1]
+    sets = residual_sets(pi_src[..., None, :], pi_rel[..., None, :], np.arange(1, L + 1)[:, None], kind)
+    return tuple(np.sum(mask << np.arange(L), axis=-1) for mask in sets)
 
 
-def _feasible_perms(A, pi, perms, gamma: int, kind: str) -> np.ndarray:
-    """(K, P) mask of the feasible pi_d ("d", given pi_c = pi[k]) or pi_e
-    ("e", given pi_s = pi[k]) among perms (P, L) for each A (K, L, L): the
-    rank conditions of pi_d_is_feasible / pi_e_is_feasible, read off the
-    nonsingular minors of A."""
+def _feasible_perms(A, pi, rel, gamma: int, kind: str) -> np.ndarray:
+    """(K, P) mask of the feasible relay labels rel, pi_d ("d", given pi_c =
+    pi[k]) or pi_e ("e", given pi_s = pi[k]), for each A (K, L, L): rel is
+    (P, L), the same for every A, or (K, P, L).  The rank conditions of
+    pi_d_is_feasible / pi_e_is_feasible, read off the nonsingular minors of
+    A."""
     nonsingular = nonsingular_minors(A, gamma)
-    sources, relays = _level_masks(pi, perms, kind)
-    return _fold(np.logical_and, nonsingular[np.arange(len(A))[:, None, None], relays[None], sources[:, None]], 2)
+    sources, relays = _level_masks(pi, rel, kind)
+    return _fold(np.logical_and, nonsingular[np.arange(len(A))[:, None, None], relays, sources[:, None]], 2)
 
 
 def _power_grid(P: float, n: int) -> np.ndarray:
@@ -404,10 +405,7 @@ def _power_grid(P: float, n: int) -> np.ndarray:
 
 def _rank_perms(keys) -> np.ndarray:
     """Row-wise permutations assigning position 1 to the smallest key (stable)."""
-    order = np.argsort(keys, axis=1, kind="stable")
-    perm = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(perm, order, np.arange(1, order.shape[1] + 1)[None, :], axis=1)
-    return perm
+    return np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1) + 1
 
 
 def _coding_key(p, r_comp):
@@ -442,11 +440,12 @@ class _Grid:
 
     The constructor builds every per-row table once: coefficients and
     computation rates (selected in blocks sized to ``_BLOCK_ELEMS``), the
-    rankings pi_s and pi_c, the forwarding log-ratios, the index of every
-    pi_d = pi_c o sigma^-1, and the feasible pi_d and pi_e.  Feasibility is
-    computed once per distinct (A, pi_c) or (A, pi_s), from the nonsingular
-    square submatrices of A, and shared by the rows that have it.  The
-    variant search then runs in blocks.
+    rankings pi_s and pi_c, the forwarding log-ratios, and the feasible
+    pi_e and pi_d = pi_c o sigma^-1, the latter indexed by sigma (sigma(l)
+    is the relay that forwards source l).  Feasibility is computed once per
+    distinct (A, pi_c) or (A, pi_s), from the nonsingular square submatrices
+    of A, and shared by the rows that have it.  The variant search then runs
+    in blocks.
 
     The tables the variant search reads (the nonzero mask of A, the
     computation rates, the log-ratios, the feasibility masks) are stored
@@ -470,31 +469,24 @@ class _Grid:
         self.pi_s = _rank_perms(self.p)
         self.pi_c = _rank_perms(_coding_key(self.p, r_comp))
         self.perms = np.array(list(itertools.permutations(range(1, L + 1))))
+        self.sigma_inv = np.argsort(self.perms, axis=1)
         # half_log_ratios[i, l, n] = 0.5 * log2(p_sorted[n, i] / p[n, l]), with
         # p_sorted each row's powers ascending: the offset of source l under the
         # modulo lattice of the (i + 1)-th smallest power, for every variant
         p_t = np.ascontiguousarray(self.p.T)
         p_sorted = np.sort(p_t, axis=0, kind="stable")
         self.half_log_ratios = 0.5 * np.log2(p_sorted[:, None] / p_t)
-        # perms are in lexicographic order: the index of a permutation is the
-        # rank of its base-L code among theirs
-        radix = L ** np.arange(L - 1, -1, -1)
-        codes = (self.perms - 1) @ radix
-        kc, ks = (np.searchsorted(codes, (pi - 1) @ radix) for pi in (self.pi_c, self.pi_s))
-        # pi_d_index[g, s]: index of pi_c o sigma^-1 for the g-th distinct pi_c
-        # and sigma = perms[s] - 1, whose code sums (pi_c[l] - 1) * radix[sigma[l]]
-        first, self.pi_c_group = _group_rows(kc[:, None])
-        self.pi_d_index = np.searchsorted(codes, (self.pi_c[first] - 1) @ radix[self.perms - 1].T)
-        # feasible pi_d (given pi_c) and pi_e (given pi_s), in perms order: a
-        # mask (L!, groups) over the distinct (A, pi) and the group (N,) of
-        # every row
+        # feasible pi_d = pi_c o sigma^-1 (given pi_c) for every sigma and
+        # pi_e (given pi_s), both in perms order: a mask (L!, groups) over the
+        # distinct (A, pi), keyed by A's group and pi's base-L code, and the
+        # group (N,) of every row
         a_group = _group_rows(self.A.reshape(len(self.A), -1))[1]
-        chunk = _block_rows(4**L + self.perms.size)
+        chunk = _block_rows(4**L + self.perms.size * L)
         feasible = []
-        for kind, pi, k in (("d", self.pi_c, kc), ("e", self.pi_s, ks)):
-            first, group = _group_rows((a_group * len(self.perms) + k)[:, None])
+        for kind, pi in (("d", self.pi_c), ("e", self.pi_s)):
+            first, group = _group_rows((a_group * L**L + (pi - 1) @ L ** np.arange(L - 1, -1, -1))[:, None])
             mask = [
-                _feasible_perms(self.A[g], pi[g], self.perms, gamma, kind)
+                _feasible_perms(self.A[g], pi[g], pi[g][:, self.sigma_inv] if kind == "d" else self.perms, gamma, kind)
                 for g in (first[s : s + chunk] for s in range(0, len(first), chunk))
             ]
             feasible.append((np.ascontiguousarray(np.concatenate(mask).T), group))
@@ -512,9 +504,9 @@ class _Grid:
         return A, computation_rate(self.H, A, p)
 
     def _bounds(self, variant, blk):
-        """Yield (kd, bounds) for a block of rows: the forwarding bounds
-        (pi_e choices, L, rows), and the index (rows,) of the pi_d of each
-        row they hold at (None when pi_d is not searched)."""
+        """Yield (s, bounds) for a block of rows: the forwarding bounds
+        (pi_e choices, L, rows), and the index s of the sigma = perms[s] - 1
+        they hold at (None when pi_d is not searched)."""
         caps = self.caps
         hl = self.half_log_ratios[..., blk]
         if variant in ("srm", "symmetric"):
@@ -530,13 +522,11 @@ class _Grid:
         # sigma[l], the relay forwarding source l, runs over every bijection;
         # each row's pi_d = pi_c o sigma^-1 then takes each value once, and
         # the bound columns are the same for every row
-        pi_d_index = self.pi_d_index[self.pi_c_group[blk]]
         for s, sigma in enumerate(self.perms - 1):
-            kd = pi_d_index[:, s]
             if variant == "srq":
-                yield kd, caps[sigma][None, :, None]
+                yield s, caps[sigma][None, :, None]
             else:
-                yield kd, caps[sigma][:, None] - hl[self.perms[:, sigma] - 1, np.arange(self.L)]
+                yield s, caps[sigma][:, None] - hl[self.perms[:, sigma] - 1, np.arange(self.L)]
 
     def evaluate(self, variant, rows=slice(None)):
         """Best (value, row, pi_d, pi_e) over the grid rows of the slice
@@ -549,13 +539,11 @@ class _Grid:
         first, stop, _ = rows.indices(len(self.p))
         for start in range(first, stop, self.block):
             blk = slice(start, min(start + self.block, stop))
-            group_d = self.feas_d[1][blk] if variant in ("srq", "srmq") else None
             ok_e = self.feas_e[0].take(self.feas_e[1][blk], axis=1) if variant in ("srm", "srmq") else None
-            for kd, bounds in self._bounds(variant, blk):
+            for s, bounds in self._bounds(variant, blk):
                 ok = _fold(np.logical_and, bounds >= 0, 1)
-                if group_d is not None:
-                    # each row's pi_d, read from the flattened (L!, groups) mask
-                    ok = ok & self.feas_d[0].take(kd * self.feas_d[0].shape[1] + group_d)
+                if s is not None:
+                    ok = ok & self.feas_d[0][s].take(self.feas_d[1][blk])
                 if ok_e is not None:
                     ok = ok & ok_e
                 r = np.minimum(self.r_comp[:, blk], bounds)
@@ -567,14 +555,15 @@ class _Grid:
                     continue
                 ke, row = pick
                 key = (float(vals[ke, row]), tuple(r[ke, :, row]))
-                order = (start + row, 0 if kd is None else int(kd[row]), ke)
+                # the identity, perms[0], where a permutation is not searched
+                pi_d = self.perms[0] if s is None else self.pi_c[start + row, self.sigma_inv[s]]
+                order = (start + row, tuple(pi_d.tolist()), tuple(self.perms[ke].tolist()))
                 if best is None or key > best[0] or (key == best[0] and order < best[1]):
                     best = (key, order)
         if best is None:
             return None
-        # kd and ke stay 0, the identity's index, where nothing is searched
-        (value, _), (row, kd, ke) = best
-        return value, row, tuple(self.perms[kd].tolist()), tuple(self.perms[ke].tolist())
+        (value, _), order = best
+        return value, *order
 
 
 def _grid_rows(budgets, common: bool, config: OptimizerConfig) -> np.ndarray:

@@ -214,10 +214,11 @@ def noisy_compute_demo(t, m: int, asg: SchemeAssignment, H, noise_std: float, rn
     over its gamma^k digit cosets (the integer part has a per-coset closed
     form).  Raises DecodeFailure on a near-tie.
     """
+    i = asg.index0(m)
+    asg.check_points(t, "codeword")
     spec = asg.spec
-    H = np.asarray(H, dtype=float)
-    h = H[m - 1]
-    a = asg.A[asg.index0(m)].astype(float)
+    h = np.asarray(H, dtype=float)[i]
+    a = asg.A[i].astype(float)
     p = np.asarray(asg.powers, dtype=float)
     # noise-matched scaling: with variance noise_std^2 instead of the unit
     # variance assumed by mmse_alpha, so vanishing noise gives alpha -> 1

@@ -122,8 +122,11 @@ def _forwarding(link, half_log_pe, half_log_p, r) -> np.ndarray:
 
 
 def forwarding_rates(asg: SchemeAssignment, r, variant: str) -> np.ndarray:
-    """Per-relay forwarding rate for the given recovery variant."""
-    return _forwarding(*_links(asg, variant), np.asarray(r, dtype=float))
+    """Per-relay forwarding rate for the given recovery variant, of one rate per source."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (asg.L,):
+        raise ValueError(f"expected {asg.L} source rates, got shape {r.shape}")
+    return _forwarding(*_links(asg, variant), r)
 
 
 def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion, variant: str) -> RateReport:
@@ -131,12 +134,15 @@ def max_rates_given_structure(asg: SchemeAssignment, H, region: SecondHopRegion,
 
     The hypercube region makes the problem separable: each source takes the
     minimum of its computation rate and its tightest forwarding bound.
-    Raises InfeasibleStructureError when even zero rates violate a
-    forwarding constraint.
+    Raises ValueError unless H is L x L and the region has L capacities,
+    and InfeasibleStructureError when even zero rates violate a forwarding
+    constraint.
     """
     link, half_log_pe, half_log_p = _links(asg, variant)
     L = asg.L
     caps = np.asarray(region.perRelayCapacity, dtype=float)
+    if np.shape(H) != (L, L) or caps.shape != (L,):
+        raise ValueError(f"expected a ({L}, {L}) channel and {L} capacities, got {np.shape(H)} and {len(caps)}")
     r_comp = computation_rate(H, asg.A, asg.powers)
     # each source's tightest forwarding constraint over the relays forwarding it
     limits = caps[:, None] - (half_log_pe[:, None] - half_log_p[None, :])

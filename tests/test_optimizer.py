@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from ccfrelay import optimizer
 from ccfrelay.cli import draw_channel
 from ccfrelay.errors import ConfigError, NotFullRankError, ReductionError
-from ccfrelay.galois import FieldMatrix, mat_rank, residual_sets, residual_submatrix
+from ccfrelay.galois import FieldMatrix, mat_rank, perm_inverse, residual_sets, residual_submatrix
 from ccfrelay.optimizer import (
     _SCHEME_ROWS,
     OptimizerConfig,
@@ -36,7 +37,7 @@ from ccfrelay.optimizer import (
 from ccfrelay.lattice import mod_level
 from ccfrelay.pipeline import ChannelInstance, compress, mmse_noise_power, relay_combination
 from ccfrelay.rates import computation_rate, second_hop_region
-from ccfrelay.recovery import srm, srmq
+from ccfrelay.recovery import srm, srmq, srq
 from ccfrelay.verify import encode_all, random_messages
 from scalar_oracle import (
     ScalarRows,
@@ -597,25 +598,33 @@ def test_bounds_match_direct_log_ratios(L):
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_grid_tables_match_their_definitions(L):
-    # the constructor's tables, read back row by row: pi_d_index holds the
-    # index of pi_c o sigma^-1 for each row's pi_c and every sigma, and the
-    # feasibility masks, one column per distinct (A, pi), gathered by each
-    # row's group are that row's own feasible pi_d and pi_e
+    # the constructor's tables, read back row by row: the feasibility masks,
+    # one column per distinct (A, pi), gathered by each row's group are that
+    # row's own feasible pi_e, and its feasible pi_d = pi_c o sigma^-1 for
+    # sigma = perms[s] - 1 at index s
     rng = np.random.default_rng(40 + L)
     P = 10 ** rng.uniform(0.5, 2.4, size=L)
     cfg = OptimizerConfig(nBrute=5)
     rows = np.concatenate([_grid_rows(P, False, cfg), _grid_rows(P, True, cfg)])
     ctx = _Grid(rng.normal(size=(L, L)), rng.uniform(1.0, 6.0, size=L), rows, 257)
     assert [tuple(p) for p in ctx.perms.tolist()] == list(itertools.permutations(range(1, L + 1)))
-    distinct_pi_c = {tuple(pi) for pi in ctx.pi_c.tolist()}
-    assert len(ctx.pi_d_index) == len(distinct_pi_c) and (L < 3 or len(distinct_pi_c) > 1)
-    for n in range(len(rows)):
-        kd = ctx.pi_d_index[ctx.pi_c_group[n]]
-        for s, sigma in enumerate(ctx.perms):
-            assert ctx.perms[kd[s]].tolist() == ctx.pi_c[n][np.argsort(sigma)].tolist()
+    assert L < 3 or len({tuple(pi) for pi in ctx.pi_c.tolist()}) > 1
     for kind, pi, (mask, group) in (("d", ctx.pi_c, ctx.feas_d), ("e", ctx.pi_s, ctx.feas_e)):
         assert mask.shape[1] == len({(A.tobytes(), p.tobytes()) for A, p in zip(ctx.A, pi)}) <= len(rows)
-        assert np.array_equal(mask[:, group], _feasible_perms(ctx.A, pi, ctx.perms, 257, kind).T)
+    mask, group = ctx.feas_e
+    assert np.array_equal(mask[:, group], _feasible_perms(ctx.A, ctx.pi_s, ctx.perms, 257, "e").T)
+    # the scalar checks run once per distinct (A, pi_c) and hold for every
+    # row that has it
+    mask, group = ctx.feas_d
+    want = {}
+    for n in range(len(rows)):
+        pi_c = tuple(ctx.pi_c[n].tolist())
+        key = (ctx.A[n].tobytes(), pi_c)
+        if key not in want:
+            Q = FieldMatrix(ctx.A[n], 257)
+            pi_d = [tuple(pi_c[l - 1] for l in perm_inverse(sigma)) for sigma in ctx.perms.tolist()]
+            want[key] = [pi_d_is_feasible(Q, pi_c, p) for p in pi_d]
+        assert mask[:, group[n]].tolist() == want[key]
     # the rows-last rate and log-ratio tables, bit for bit their definitions
     assert ctx.r_comp.tobytes() == computation_rate(ctx.H, ctx.A, rows).T.tobytes()
     ps = np.sort(rows, axis=1)
@@ -667,20 +676,27 @@ def test_winners_recover_exactly(L, nBrute, draws):
     # each acf-m / acf-mq winner is an assignment its own recovery runs on:
     # random messages encoded on its chain come back bit for bit from the
     # relay outputs (srm: each combination modulo its relay's lattice;
-    # srmq: the compressed combinations)
+    # srmq: the compressed combinations).  Each scf-q winner does too
+    # through srq, once its shaping levels are made common; its messages
+    # come from a generator of their own
     cfg = OptimizerConfig(nBrute=nBrute)
     rng = np.random.default_rng(31 + L)
+    rng_q = np.random.default_rng(131 + L)
     for _ in range(draws):
         P = np.full(L, 10 ** rng.uniform(1.0, 2.4))
         ch = ChannelInstance(rng.normal(size=(L, L)), rng.normal(size=L), P, 0.25 * P)
-        for scheme, (asg, _) in evaluate_all(ch, cfg, ("acf-m", "acf-mq")).items():
+        for scheme, (asg, _) in evaluate_all(ch, cfg, ("acf-m", "acf-mq", "scf-q")).items():
             assert asg is not None
-            t = encode_all(random_messages(rng, asg, 8), asg)
+            if scheme == "scf-q":
+                asg = replace(asg, shapingLevels=(asg.shapingLevels[0],) * L)
+            t = encode_all(random_messages(rng_q if scheme == "scf-q" else rng, asg, 8), asg)
             combos = [relay_combination(t, m, asg) for m in range(1, L + 1)]
             if scheme == "acf-m":
                 got = srm([mod_level(c, asg.modulo_level_of(m)) for m, c in enumerate(combos, 1)], None, asg)
-            else:
+            elif scheme == "acf-mq":
                 got = srmq([compress(c, m, asg) for m, c in enumerate(combos, 1)], None, asg)
+            else:
+                got = srq([compress(c, m, asg) for m, c in enumerate(combos, 1)], asg)
             assert got == t
 
 

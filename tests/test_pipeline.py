@@ -187,10 +187,11 @@ def test_mismatched_spec_rejected():
     w = np.zeros(asg.message_length(1), dtype=np.int64)
     t = source_encode(w, 1, asg)
     t_bad = type(t)(other, t.digits, t.ints)
-    with pytest.raises(SpecMismatchError, match="codeword spec differs from assignment spec"):
-        relay_combination([t_bad, t], 1, asg)
-    with pytest.raises(ValueError, match="expected 2 codewords, got 3"):
-        relay_combination([t, t, t], 1, asg)
+    for entry in (relay_combination, lambda t, m, asg: noisy_compute_demo(t, m, asg, np.eye(2), 0.1, None)):
+        with pytest.raises(SpecMismatchError, match="codeword spec differs from assignment spec"):
+            entry([t_bad, t], 1, asg)
+        with pytest.raises(ValueError, match="expected 2 codewords, got 3"):
+            entry([t, t, t], 1, asg)
     with pytest.raises(SpecMismatchError):
         compress(t_bad, 1, asg)
 
@@ -232,7 +233,9 @@ def test_finest_participating_level():
 
 
 @pytest.mark.parametrize("index", [0, -1, 4])
-@pytest.mark.parametrize("entry", ["source_encode", "relay_combination", "compress", "finest_participating_level"])
+@pytest.mark.parametrize(
+    "entry", ["source_encode", "relay_combination", "compress", "finest_participating_level", "noisy_compute_demo"]
+)
 def test_out_of_range_index_rejected(entry, index):
     # indexes are 1-based: 0 and -1 must not wrap to relay or source L
     # (or L - 1), nor L + 1 end in a bare IndexError
@@ -244,6 +247,7 @@ def test_out_of_range_index_rejected(entry, index):
         "relay_combination": lambda: relay_combination(t, index, asg),
         "compress": lambda: compress(relay_combination(t, 1, asg), index, asg),
         "finest_participating_level": lambda: finest_participating_level(index, asg),
+        "noisy_compute_demo": lambda: noisy_compute_demo(t, index, asg, np.eye(3), 0.1, rng),
     }
     with pytest.raises(ValueError, match=rf"index {index} outside 1\.\.3"):
         calls[entry]()

@@ -143,6 +143,21 @@ def test_unknown_variant_rejected():
         max_rates_given_structure(asg, H, SecondHopRegion((1.0,) * asg.L), "bogus")
 
 
+def test_mismatched_shapes_rejected():
+    # one capacity, channel row or source rate per relay or source: fewer
+    # must not broadcast into rates for all of them
+    asg, H = draw_case(np.random.default_rng(3), L=2)
+    region = SecondHopRegion((1.0, 1.0))
+    with pytest.raises(ValueError, match=r"expected a \(2, 2\) channel and 2 capacities, got \(2, 2\) and 1"):
+        max_rates_given_structure(asg, H, SecondHopRegion((1.0,)), "srm")
+    with pytest.raises(ValueError, match=r"got \(1, 2\) and 2"):
+        max_rates_given_structure(asg, H[:1], region, "srq")
+    with pytest.raises(ValueError, match=r"expected 2 source rates, got shape \(1,\)"):
+        forwarding_rates(asg, [0.5], "srm")
+    max_rates_given_structure(asg, H, region, "srm")
+    forwarding_rates(asg, [0.5, 0.5], "srm")
+
+
 def near_integer_reports(rng, cases=40):
     """(asg, H, caps, variant, report) for every feasible variant on
     near-integer channels, where most sources have a positive computation
