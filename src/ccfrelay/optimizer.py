@@ -176,48 +176,39 @@ def _lll_batched(B):
     Each basis takes the steps of the textbook loop: size reduction of row
     k against rows k-1 down to 0 with half-to-even rounding and a full
     Gram-Schmidt recompute after every nonzero step, then the Lovasz test
-    on row k, and either k + 1 or a swap with k = max(k - 1, 1).  Bases
-    advance one step per pass, each at its own (k, j); finished ones drop
-    out.  Returns (reduced, transform) stacks."""
+    on row k, and either k + 1 or a swap with k = max(k - 1, 1).  Each pass
+    runs one whole size reduction and one test on every unfinished basis,
+    so the guard counts passes.  Returns (reduced, transform) stacks."""
     B = np.array(B, dtype=float)
     M, n, _ = B.shape
     T = np.broadcast_to(np.eye(n, dtype=np.int64), (M, n, n)).copy()
     k = np.ones(M, dtype=np.intp)
-    j = k - 1
-    rounds = np.zeros(M, dtype=np.int64)
     norms2, mu = _gso(B)
-    active = np.flatnonzero(k < n)
-    while active.size:
-        size = active[j[active] >= 0]
-        if size.size:
-            ks, js = k[size], j[size]
-            q = np.rint(mu[size, ks, js])
-            nz = q != 0
-            if np.any(nz):
-                t, kt, jt, qt = size[nz], ks[nz], js[nz], q[nz]
-                B[t, kt] -= qt[:, None] * B[t, jt]
-                T[t, kt] -= qt.astype(np.int64)[:, None] * T[t, jt]
-                norms2[t], mu[t] = _gso(B[t])
-            j[size] -= 1
-        test = active[j[active] < 0]
-        if test.size:
-            kl = k[test]
-            # np.float_power is libm pow, as `**` on a numpy scalar; the
-            # square x * x can differ from it in the last bit
-            ok = norms2[test, kl] >= (_LLL_DELTA - np.float_power(mu[test, kl, kl - 1], 2)) * norms2[test, kl - 1]
-            k[test[ok]] += 1
-            sw, ks = test[~ok], kl[~ok]
-            if sw.size:
-                B[sw, ks - 1], B[sw, ks] = B[sw, ks], B[sw, ks - 1]
-                T[sw, ks - 1], T[sw, ks] = T[sw, ks], T[sw, ks - 1]
-                k[sw] = np.maximum(ks - 1, 1)
-                norms2[sw], mu[sw] = _gso(B[sw])
-            j[test] = k[test] - 1
-            rounds[test] += 1
-            if np.any((rounds[test] >= _LLL_GUARD) & (k[test] < n)):
-                raise ReductionError("LLL reduction failed to converge")
+    for passes in itertools.count():
         active = np.flatnonzero(k < n)
-    return B, T
+        if not active.size:
+            return B, T
+        if passes == _LLL_GUARD:
+            raise ReductionError("LLL reduction failed to converge")
+        for j in range(n - 2, -1, -1):
+            size = active[k[active] > j]
+            q = np.rint(mu[size, k[size], j])
+            t, q = size[q != 0], q[q != 0]
+            if t.size:
+                B[t, k[t]] -= q[:, None] * B[t, j]
+                T[t, k[t]] -= q.astype(np.int64)[:, None] * T[t, j]
+                norms2[t], mu[t] = _gso(B[t])
+        kl = k[active]
+        # np.float_power is libm pow, as `**` on a numpy scalar; the
+        # square x * x can differ from it in the last bit
+        ok = norms2[active, kl] >= (_LLL_DELTA - np.float_power(mu[active, kl, kl - 1], 2)) * norms2[active, kl - 1]
+        k[active[ok]] += 1
+        sw, ks = active[~ok], kl[~ok]
+        if sw.size:
+            B[sw, ks - 1], B[sw, ks] = B[sw, ks], B[sw, ks - 1]
+            T[sw, ks - 1], T[sw, ks] = T[sw, ks], T[sw, ks - 1]
+            k[sw] = np.maximum(ks - 1, 1)
+            norms2[sw], mu[sw] = _gso(B[sw])
 
 
 def lll_reduce(basis):
@@ -503,10 +494,9 @@ class _Grid:
             A = select_coefficients(self.H, p, self.gamma)
         return A, computation_rate(self.H, A, p)
 
-    def _bounds(self, variant, blk):
-        """Yield (s, bounds) for a block of rows: the forwarding bounds
-        (pi_e choices, L, rows), and the index s of the sigma = perms[s] - 1
-        they hold at (None when pi_d is not searched)."""
+    def _bounds(self, variant, blk, s):
+        """Forwarding bounds (pi_e choices, L, rows) of a block of rows, at
+        sigma = perms[s] - 1 where pi_d is searched (s is None otherwise)."""
         caps = self.caps
         hl = self.half_log_ratios[..., blk]
         if variant in ("srm", "symmetric"):
@@ -517,16 +507,14 @@ class _Grid:
             limits = hl[ranks - 1]
             np.subtract(caps[:, None, None], limits, out=limits)
             np.copyto(limits, np.inf, where=~self.mask[..., blk])
-            yield None, _fold(np.minimum, limits, 1)
-            return
+            return _fold(np.minimum, limits, 1)
         # sigma[l], the relay forwarding source l, runs over every bijection;
         # each row's pi_d = pi_c o sigma^-1 then takes each value once, and
         # the bound columns are the same for every row
-        for s, sigma in enumerate(self.perms - 1):
-            if variant == "srq":
-                yield s, caps[sigma][None, :, None]
-            else:
-                yield s, caps[sigma][:, None] - hl[self.perms[:, sigma] - 1, np.arange(self.L)]
+        sigma = self.perms[s] - 1
+        if variant == "srq":
+            return caps[sigma][None, :, None]
+        return caps[sigma][:, None] - hl[self.perms[:, sigma] - 1, np.arange(self.L)]
 
     def evaluate(self, variant, rows=slice(None)):
         """Best (value, row, pi_d, pi_e) over the grid rows of the slice
@@ -534,18 +522,19 @@ class _Grid:
         and a permutation the variant does not search is the identity.
 
         Ties go to the lexicographically largest rate tuple, then to the
-        first candidate in (row, pi_d, pi_e) order."""
+        first candidate in (row, pi_d, pi_e) order: the smallest key
+        (-value, -rates, row, pi_d, pi_e)."""
         best = None
+        sigmas = range(len(self.perms)) if variant in ("srq", "srmq") else (None,)
         first, stop, _ = rows.indices(len(self.p))
         for start in range(first, stop, self.block):
             blk = slice(start, min(start + self.block, stop))
-            ok_e = self.feas_e[0].take(self.feas_e[1][blk], axis=1) if variant in ("srm", "srmq") else None
-            for s, bounds in self._bounds(variant, blk):
-                ok = _fold(np.logical_and, bounds >= 0, 1)
+            ok_e = self.feas_e[0].take(self.feas_e[1][blk], axis=1) if variant in ("srm", "srmq") else True
+            for s in sigmas:
+                bounds = self._bounds(variant, blk, s)
+                ok = _fold(np.logical_and, bounds >= 0, 1) & ok_e
                 if s is not None:
                     ok = ok & self.feas_d[0][s].take(self.feas_d[1][blk])
-                if ok_e is not None:
-                    ok = ok & ok_e
                 r = np.minimum(self.r_comp[:, blk], bounds)
                 np.maximum(r, 0.0, out=r)
                 # a left-to-right sum, which is np.sum's order on axes shorter than 8
@@ -554,16 +543,15 @@ class _Grid:
                 if pick is None:
                     continue
                 ke, row = pick
-                key = (float(vals[ke, row]), tuple(r[ke, :, row]))
                 # the identity, perms[0], where a permutation is not searched
                 pi_d = self.perms[0] if s is None else self.pi_c[start + row, self.sigma_inv[s]]
-                order = (start + row, tuple(pi_d.tolist()), tuple(self.perms[ke].tolist()))
-                if best is None or key > best[0] or (key == best[0] and order < best[1]):
-                    best = (key, order)
+                pi_e = tuple(self.perms[ke].tolist())
+                key = (-vals[ke, row], tuple(-r[ke, :, row]), start + row, tuple(pi_d.tolist()), pi_e)
+                best = key if best is None else min(best, key)
         if best is None:
             return None
-        (value, _), order = best
-        return value, *order
+        value, _, row, pi_d, pi_e = best
+        return -float(value), row, pi_d, pi_e
 
 
 def _grid_rows(budgets, common: bool, config: OptimizerConfig) -> np.ndarray:

@@ -79,11 +79,15 @@ class SchemeAssignment:
 
     def check_points(self, points, what: str) -> None:
         """Raise unless there is one point per source (or relay), each of
-        this assignment's spec or None (the zero dither)."""
+        this assignment's spec; only a dither may be None (the zero dither)."""
         if len(points) != self.L:
             raise ValueError(f"expected {self.L} {what}s, got {len(points)}")
-        if any(x is not None and x.spec != self.spec for x in points):
-            raise SpecMismatchError(f"{what} spec differs from assignment spec")
+        for i, x in enumerate(points, 1):
+            if x is None:
+                if what != "dither":
+                    raise ValueError(f"{what} {i} is None; only a dither may be None")
+            elif x.spec != self.spec:
+                raise SpecMismatchError(f"{what} spec differs from assignment spec")
 
     def index0(self, i: int) -> int:
         """0-based position of the 1-based source or relay index i."""
@@ -216,8 +220,11 @@ def noisy_compute_demo(t, m: int, asg: SchemeAssignment, H, noise_std: float, rn
     """
     i = asg.index0(m)
     asg.check_points(t, "codeword")
+    H = np.asarray(H, dtype=float)
+    if H.shape != (asg.L, asg.L):
+        raise ValueError(f"expected a ({asg.L}, {asg.L}) channel, got {H.shape}")
     spec = asg.spec
-    h = np.asarray(H, dtype=float)[i]
+    h = H[i]
     a = asg.A[i].astype(float)
     p = np.asarray(asg.powers, dtype=float)
     # noise-matched scaling: with variance noise_std^2 instead of the unit

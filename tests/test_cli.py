@@ -234,8 +234,9 @@ def test_powers_must_be_positive_and_finite(tmp_path, capsys):
         (["verify", "--seed", "-1"], "seed must be >= 0"),
         (["demo-noisy", "--seed", "-1"], "seed must be >= 0"),
         (["demo-noisy", "--trials", "0"], "trials must be >= 1"),
+        (["sweep", "--L", "0", "--trials", "1"], "L must be >= 1"),
     ],
-    ids=["sweep-seed", "sweep-config-seed", "verify-seed", "demo-noisy-seed", "demo-noisy-trials"],
+    ids=["sweep-seed", "sweep-config-seed", "verify-seed", "demo-noisy-seed", "demo-noisy-trials", "sweep-L"],
 )
 def test_out_of_range_seed_or_trials_is_a_config_error(argv, message, tmp_path, capsys):
     path = tmp_path / "run.cfg"
@@ -405,21 +406,28 @@ def test_main_optimize_overflowing_metric_is_a_numeric_error(schemes, tmp_path, 
     assert captured.err == "numeric error: the effective-noise metric is not finite: the channel and powers overflow\n"
 
 
+POWERS = "source powers P must be positive and relay powers P_R non-negative"
+
+
 @pytest.mark.parametrize(
-    "channel",
+    "channel,message",
     [
-        "H = 1 0 0; 0 1 0\ng = 1 1\nP = 1 1\nP_R = 1 1\n",
-        "H = 1 0; 0 1\ng = 1 1\nP = 0 1\nP_R = 1 1\n",
-        "H = 1 0; 0 1\ng = 1 1\nP = -1 1\nP_R = 1 1\n",
-        "H = 1 0; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 -1\n",
+        ("H = 1 0 0; 0 1 0\ng = 1 1\nP = 1 1\nP_R = 1 1\n", "bad channel: H must be square"),
+        ("H = 1 0; 0 1\ng = 1 1\nP = 0 1\nP_R = 1 1\n", f"bad channel: {POWERS}"),
+        ("H = 1 0; 0 1\ng = 1 1\nP = -1 1\nP_R = 1 1\n", f"bad channel: {POWERS}"),
+        ("H = 1 0; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 -1\n", f"bad channel: {POWERS}"),
+        ("H = 1 0; 0 1\nP = 1 1\nP_R = 1 1\n", "channel config missing key 'g'"),
+        ("H = 1 x; 0 1\ng = 1 1\nP = 1 1\nP_R = 1 1\n", "channel entries must be numbers"),
     ],
-    ids=["non-square-H", "zero-P", "negative-P", "negative-P_R"],
+    ids=["non-square-H", "zero-P", "negative-P", "negative-P_R", "missing-g", "non-number-H"],
 )
-def test_main_optimize_rejects_degenerate_channel(channel, tmp_path, capsys):
+def test_main_optimize_rejects_degenerate_channel(channel, message, tmp_path, capsys):
     cfg = tmp_path / "chan.cfg"
     cfg.write_text(channel, encoding="utf-8")
     assert main(["optimize", "--config", str(cfg), "--schemes", "scf"]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_optimize_rejects_ragged_channel_rows(tmp_path, capsys):

@@ -104,6 +104,21 @@ def test_lll_rejects_rank_deficient():
         lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lll_guard_counts_passes(n, monkeypatch):
+    # an identity basis takes no size step and passes the Lovasz test at
+    # every k = 1..n-1, one per pass, so it finishes in exactly n - 1
+    # passes: a guard of n - 1 lets it, one of n - 2 raises, through
+    # lll_reduce too
+    monkeypatch.setattr(optimizer, "_LLL_GUARD", n - 1)
+    red, T = _lll_batched(np.eye(n)[None])
+    assert np.array_equal(red[0], np.eye(n)) and np.array_equal(T[0], np.eye(n, dtype=np.int64))
+    monkeypatch.setattr(optimizer, "_LLL_GUARD", n - 2)
+    for reduce in (lambda: _lll_batched(np.eye(n)[None]), lambda: lll_reduce(np.eye(n))):
+        with pytest.raises(ReductionError, match="LLL reduction failed to converge"):
+            reduce()
+
+
 def brute_best_row(D, gamma, max_coeff, exclude=None):
     """Smallest-metric integer row, nonzero mod gamma, optionally linearly
     independent mod gamma from a previous row."""
@@ -586,12 +601,11 @@ def test_bounds_match_direct_log_ratios(L):
         pe_pow = ps[:, None, -1:] if variant == "symmetric" else ps[:, ctx.perms - 1]
         off = 0.5 * np.log2(pe_pow[..., None] / p[:, None, None, :])
         want = rows_last(np.min(np.where(mask[:, None], caps[None, None, :, None] - off, np.inf), axis=2))
-        [(kd, got)] = ctx._bounds(variant, slice(None))
-        assert kd is None and got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = ctx._bounds(variant, slice(None), None)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     pe_pow = ps[:, ctx.perms - 1]
-    got = list(ctx._bounds("srmq", slice(None)))
-    assert len(got) == len(ctx.perms)
-    for sigma, (_, bounds) in zip(ctx.perms - 1, got):
+    for s, sigma in enumerate(ctx.perms - 1):
+        bounds = ctx._bounds("srmq", slice(None), s)
         want = rows_last(caps[sigma] - 0.5 * np.log2(pe_pow[:, :, sigma] / p[:, None, :]))
         assert bounds.shape == want.shape and bounds.tobytes() == want.tobytes()
 

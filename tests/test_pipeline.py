@@ -192,8 +192,22 @@ def test_mismatched_spec_rejected():
             entry([t_bad, t], 1, asg)
         with pytest.raises(ValueError, match="expected 2 codewords, got 3"):
             entry([t, t, t], 1, asg)
+        # only a dither may be None (the zero dither): a None codeword is
+        # named by its position, not a bare AttributeError
+        with pytest.raises(ValueError, match="codeword 1 is None"):
+            entry([None, t], 1, asg)
     with pytest.raises(SpecMismatchError):
         compress(t_bad, 1, asg)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3)])
+def test_noisy_demo_rejects_channel_that_is_not_L_by_L(shape):
+    # as max_rates_given_structure does, rather than a bare IndexError or a
+    # matmul core-dimension error
+    asg = small_assignment()
+    t = [source_encode(np.zeros(asg.message_length(l), dtype=np.int64), l, asg) for l in (1, 2)]
+    with pytest.raises(ValueError, match=r"expected a \(2, 2\) channel"):
+        noisy_compute_demo(t, 1, asg, np.ones(shape), 0.1, np.random.default_rng(0))
 
 
 def test_mmse_alpha_beats_dense_grid():

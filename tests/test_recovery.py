@@ -196,6 +196,21 @@ def test_spec_mismatch_rejected():
         srq(bad, asg)
 
 
+def test_none_relay_output_rejected_and_none_dither_entry_kept():
+    # only a dither may be None (the zero dither): a None relay output is a
+    # ValueError that names its position, not a bare AttributeError, while a
+    # None entry of a dither list still recovers as the zero dither
+    rng = np.random.default_rng(13)
+    asg, t = exact_case(rng, 3, 4, 3, common_shaping=False)
+    v = relay_outputs(t, asg)
+    for call in (lambda v: srq(v, asg), lambda v: srm(v, None, asg)):
+        with pytest.raises(ValueError, match="relay output 2 is None"):
+            call([v[0], None, v[2]])
+    zero = ChainPoint(asg.spec, np.zeros((32, 4), dtype=np.int64), np.zeros((32, 4), dtype=np.int64))
+    for algo in (srm, srmq):
+        assert algo(v, [None, zero, None], asg) == algo(v, None, asg)
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_recovery_batched_matches_scalar(L):
     rng = np.random.default_rng(9)
