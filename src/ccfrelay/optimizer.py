@@ -48,7 +48,7 @@ from .galois import (
     residual_submatrix,
 )
 from .lattice import make_chain_spec
-from .pipeline import ChannelInstance, SchemeAssignment
+from .pipeline import ChannelInstance, SchemeAssignment, mmse_denominator
 from .rates import (
     _fold,
     computation_rate,
@@ -107,19 +107,22 @@ class OptimizerConfig:
             raise ConfigError(f"gammaOpt: {exc}") from None
 
 
-def _gram(H, p_rows) -> np.ndarray:
-    """Effective-noise metrics of every relay at every grid row.
+def _gram(H, p_rows) -> tuple:
+    """Effective-noise metrics of every relay at every grid row, and their
+    denominators.
 
-    H: (L_relays, L) channel rows; p_rows: (N, L) powers.  Returns (L_relays,
-    L, L, N), rows last, with the operation order of the scalar closed form
-    (``np.vecdot`` is the same dot kernel as ``@`` on vectors).  Raises
-    ReductionError when an entry is not finite (the products overflowed),
-    since neither reduction can order such metrics."""
+    H: (L_relays, L) channel rows; p_rows: (N, L) powers.  Returns the
+    metrics (L_relays, L, L, N), rows last, with the operation order of the
+    scalar closed form (``np.vecdot`` is the same dot kernel as ``@`` on
+    vectors), and their denominators (L_relays, N), ``mmse_denominator``
+    of each relay's row at every grid row.  Raises ReductionError when
+    an entry is not finite (the products overflowed), since neither
+    reduction can order such metrics."""
     p_t = np.ascontiguousarray(p_rows.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the denominators dot each relay's row with its powered rows, rows
-        # first: the same kernel, and bits, as the scalar form
-        denom = 1.0 + np.vecdot(H[:, None, :], H[:, None, :] * p_rows)
+        # each relay's row dotted with its powered rows, rows first: the
+        # same kernel, and bits, as the scalar form
+        denom = mmse_denominator(H[:, None, :], p_rows)
         ph = H[:, :, None] * p_t
         # diag(p) - ph ph^T / denom, computed in one buffer
         D = ph[:, :, None] * ph[:, None, :]
@@ -127,7 +130,7 @@ def _gram(H, p_rows) -> np.ndarray:
         np.subtract(p_t[:, None, :] * np.eye(H.shape[1])[..., None], D, out=D)
     if not np.all(np.isfinite(D)):
         raise ReductionError("the effective-noise metric is not finite: the channel and powers overflow")
-    return D
+    return D, denom
 
 
 def _gso(B: np.ndarray):
@@ -215,10 +218,15 @@ def lll_reduce(basis):
     """Lovasz-reduce the rows of ``basis``.
 
     Returns (reduced, transform) with reduced = transform @ basis and an
-    integer transform of determinant +-1."""
+    integer transform of determinant +-1.  Raises ValueError unless the
+    basis is a 2-D array of finite entries."""
     B = np.array(basis, dtype=float)
+    if B.ndim != 2:
+        raise ValueError(f"basis must be a 2-D array of rows, got {B.ndim} dimensions")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("basis entries must be finite")
     n = B.shape[0]
-    if B.ndim != 2 or B.shape[1] < n or np.linalg.matrix_rank(B) < n:
+    if B.shape[1] < n or np.linalg.matrix_rank(B) < n:
         raise NotFullRankError("basis rows are linearly dependent")
     B, T = _lll_batched(B[None])
     return B[0], T[0]
@@ -262,14 +270,27 @@ def _pick2(D, ok):
     (2, 2, N) and the unit vectors, sign-normalized; ``ok`` admits one of
     the unit vectors on every row."""
     u0, u1, v0, v1 = _lagrange2(D[0, 0], D[0, 1], D[1, 1])
-    x, y, met = 0, 0, np.inf
-    for xk, yk in ((u0, u1), (v0, v1), (1, 0), (0, 1)):
+    candidates = []
+    for xk, yk in ((u0, u1), (v0, v1)):
         sign = np.where(np.where(xk != 0, xk, yk) < 0, -1, 1)
         xk, yk = sign * xk, sign * yk
-        mk = _metric2(xk, yk, D)
+        candidates.append((xk, yk, _metric2(xk, yk, D)))
+    # a unit vector's metric is its diagonal entry: the other terms of
+    # _metric2 are +-0, as _gram's D is finite
+    candidates += [(1, 0, D[0, 0]), (0, 1, D[1, 1])]
+    x, y, met = 0, 0, np.inf
+    for xk, yk, mk in candidates:
         take = ok(xk, yk) & ((mk < met) | ((mk == met) & ((xk < x) | ((xk == x) & (yk < y)))))
         x, y, met = np.where(take, xk, x), np.where(take, yk, y), np.where(take, mk, met)
     return x, y
+
+
+def _nonzero_mod(v, gamma: int):
+    """``v % gamma != 0`` for integers v, by a floor division, which numpy
+    runs several times faster than the remainder on int64 arrays.  Exact
+    for every int64: where ``v // gamma * gamma`` wraps, v is no multiple
+    of gamma and the wrapped product still differs from it."""
+    return v // gamma * gamma != v
 
 
 def _select_A2(D: np.ndarray, gamma: int) -> np.ndarray:
@@ -279,8 +300,8 @@ def _select_A2(D: np.ndarray, gamma: int) -> np.ndarray:
     returns it.  Relay 1 takes its smallest candidate nonzero modulo gamma,
     relay 2 its smallest one independent of relay 1's modulo gamma.
     Returns the integer matrices (N, 2, 2)."""
-    x1, y1 = _pick2(D[0], lambda x, y: (x % gamma != 0) | (y % gamma != 0))
-    x2, y2 = _pick2(D[1], lambda x, y: (x1 * y - y1 * x) % gamma != 0)
+    x1, y1 = _pick2(D[0], lambda x, y: _nonzero_mod(x, gamma) | _nonzero_mod(y, gamma))
+    x2, y2 = _pick2(D[1], lambda x, y: _nonzero_mod(x1 * y - y1 * x, gamma))
     return np.stack([x1, y1, x2, y2], axis=1).reshape(-1, 2, 2)
 
 
@@ -337,10 +358,18 @@ def select_coefficients(H, p, gamma: int) -> np.ndarray:
 
     Each relay's candidates come from reducing the identity basis in its
     effective-noise metric; relay by relay, the smallest candidate by metric
-    that keeps the stack full rank over F_gamma is taken."""
+    that keeps the stack full rank over F_gamma is taken.  Raises
+    ValueError unless H is square and p holds one nonnegative power per
+    source (in every row)."""
     H = np.asarray(H, dtype=float)
     p = np.asarray(p, dtype=float)
-    D = _gram(H, np.atleast_2d(p))
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square channel matrix, got shape {H.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1] != len(H):
+        raise ValueError(f"expected {len(H)} powers per row, got shape {p.shape}")
+    if not np.all(p >= 0):
+        raise ValueError("powers must be nonnegative numbers, not NaN")
+    D, _ = _gram(H, np.atleast_2d(p))
     A = _select_A2(D, gamma) if len(D) == 2 else _select_A(D, gamma)
     return A if p.ndim == 2 else A[0]
 
@@ -395,8 +424,18 @@ def _power_grid(P: float, n: int) -> np.ndarray:
 
 
 def _rank_perms(keys) -> np.ndarray:
-    """Row-wise permutations assigning position 1 to the smallest key (stable)."""
-    return np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1) + 1
+    """Row-wise permutations assigning position 1 to the smallest key, ties
+    to the earlier column (the stable ranking): rank_l = 1 + #{k < l :
+    key_k <= key_l} + #{k > l : key_k < key_l}, L^2 comparisons of the
+    key columns (N,)."""
+    cols = np.asarray(keys).T
+    L = len(cols)
+    ranks = np.ones(cols.shape, dtype=np.intp)
+    for l in range(L):
+        for k in range(L):
+            if k != l:
+                ranks[l] += cols[k] <= cols[l] if k < l else cols[k] < cols[l]
+    return ranks.T
 
 
 def _coding_key(p, r_comp):
@@ -430,8 +469,10 @@ class _Grid:
     of its power grids, for any L.
 
     The constructor builds every per-row table once: coefficients and
-    computation rates (selected in blocks sized to ``_BLOCK_ELEMS``), the
-    rankings pi_s and pi_c, the forwarding log-ratios, and the feasible
+    computation rates (selected in blocks sized to ``_BLOCK_ELEMS``; at
+    L = 2 the rates reuse the denominators of the selection metrics), the
+    rankings pi_s and pi_c (counted by comparisons of the key columns), the
+    forwarding log-ratios, and the feasible
     pi_e and pi_d = pi_c o sigma^-1, the latter indexed by sigma (sigma(l)
     is the relay that forwards source l).  Feasibility is computed once per
     distinct (A, pi_c) or (A, pi_s), from the nonsingular square submatrices
@@ -488,10 +529,12 @@ class _Grid:
         if self.L == 2:
             # what select_coefficients runs at L = 2: perfbench requires no
             # select_coefficients calls on sweep-l2 and some on sweep-l3,
-            # until it counts distinct A over grid rows instead
-            A = _select_A2(_gram(self.H, p), self.gamma)
-        else:
-            A = select_coefficients(self.H, p, self.gamma)
+            # until it counts distinct A over grid rows instead; the rates
+            # reuse the metrics' denominators
+            D, denom = _gram(self.H, p)
+            A = _select_A2(D, self.gamma)
+            return A, computation_rate(self.H, A, p, denom.T)
+        A = select_coefficients(self.H, p, self.gamma)
         return A, computation_rate(self.H, A, p)
 
     def _bounds(self, variant, blk, s):

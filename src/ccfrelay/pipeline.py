@@ -190,16 +190,27 @@ def effective_noise_power(h_m, a_m, p, alpha: float) -> float:
     return float(alpha * alpha + p @ (alpha * h - a) ** 2)
 
 
-def mmse_noise_power(h_m, a_m, p):
+def mmse_denominator(h_m, p):
+    """1 + h (p h): the denominator of the optimal alpha and of the closed
+    form of the effective-noise power, along the last axis, broadcast over
+    any leading batch axes."""
+    return 1.0 + np.vecdot(h_m, p * h_m)
+
+
+def mmse_noise_power(h_m, a_m, p, denom=None):
     """Closed form of the effective-noise power at the optimal alpha.
 
     The arguments hold a channel row, a coefficient row and the powers
-    along their last axis and broadcast over any leading batch axes."""
+    along their last axis and broadcast over any leading batch axes.
+    ``denom``, when given, is ``mmse_denominator(h_m, p)`` computed
+    before, broadcast against the batch axes."""
     h = np.asarray(h_m, dtype=float)
     a = np.asarray(a_m, dtype=float)
     p = np.asarray(p, dtype=float)
     pa = p * a
-    return np.vecdot(a, pa) - np.float_power(np.vecdot(h, pa), 2) / (1.0 + np.vecdot(h, p * h))
+    if denom is None:
+        denom = mmse_denominator(h, p)
+    return np.vecdot(a, pa) - np.float_power(np.vecdot(h, pa), 2) / denom
 
 
 def finest_participating_level(m: int, asg: SchemeAssignment) -> int:

@@ -68,16 +68,20 @@ def _fold(op, x, axis: int):
     return functools.reduce(op, (x[lead + (i,)] for i in range(1, x.shape[axis])), x[lead + (0,)])
 
 
-def computation_rate(H, A, p) -> np.ndarray:
+def computation_rate(H, A, p, denom=None) -> np.ndarray:
     """Best computation rate of each source over the relays combining it.
 
     Half the log of the source's power over the largest effective-noise
     power among those relays: infinite when that power is zero, and 0 when
     no relay combines the source.  A (..., L, L) and p (..., L) may carry
-    leading batch axes, with one channel H (L, L) for all of them."""
+    leading batch axes, with one channel H (L, L) for all of them.
+    ``denom`` (..., L), when given, holds each relay's
+    ``mmse_denominator`` at the powers p, so it is not computed again."""
     A = np.asarray(A)
     p = np.asarray(p, dtype=float)
-    tau = mmse_noise_power(H, A, p[..., None, :])
+    # each relay's copy of the powers, contiguous (..., L, L): the products
+    # with A then run as one loop rather than one short loop per row
+    tau = mmse_noise_power(H, A, np.repeat(p[..., None, :], A.shape[-2], axis=-2), denom)
     combined = np.where(A != 0, tau[..., :, None], -np.inf)
     worst = _fold(np.maximum, combined, combined.ndim - 2)
     with np.errstate(divide="ignore", invalid="ignore"):

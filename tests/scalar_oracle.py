@@ -12,13 +12,13 @@ import numpy as np
 
 from ccfrelay.errors import ConfigError, NotFullRankError
 from ccfrelay.galois import FieldMatrix, mat_rank, perm_inverse
-from ccfrelay.optimizer import _coding_key, _gram, _rank_perms, pi_d_is_feasible, pi_e_is_feasible
+from ccfrelay.optimizer import _coding_key, _gram, pi_d_is_feasible, pi_e_is_feasible
 
 
 def gram_matrix(h_m, p) -> np.ndarray:
     """Metric of one relay whose quadratic form in a coefficient row is the
     effective-noise power at the optimal scaling coefficient."""
-    return _gram(np.asarray(h_m, dtype=float)[None], np.asarray(p, dtype=float)[None])[0, ..., 0]
+    return _gram(np.asarray(h_m, dtype=float)[None], np.asarray(p, dtype=float)[None])[0][0, ..., 0]
 
 
 def gso(B: np.ndarray):
@@ -90,8 +90,9 @@ def computation_rate(H, A, p) -> np.ndarray:
 
 
 def rank_perm(key) -> tuple:
-    """Permutation assigning position 1 to the smallest key (stable)."""
-    return tuple(int(x) for x in _rank_perms(np.asarray(key)[None])[0])
+    """Permutation assigning position 1 to the smallest key, ties to the
+    earlier position: the inverse of the stable sorting permutation."""
+    return tuple(int(x) + 1 for x in np.argsort(np.argsort(np.asarray(key), kind="stable"), kind="stable"))
 
 
 def relay_transforms(H, p):

@@ -22,7 +22,9 @@ from ccfrelay.optimizer import (
     _level_masks,
     _lll_batched,
     _metric2,
+    _nonzero_mod,
     _power_grid,
+    _rank_perms,
     _select_A,
     _select_A2,
     evaluate_all,
@@ -42,6 +44,7 @@ from ccfrelay.verify import encode_all, random_messages
 from scalar_oracle import (
     ScalarRows,
     gram_matrix,
+    rank_perm,
     relay_transforms,
     scalar_select_coefficients,
     scalar_select_from_gram,
@@ -102,6 +105,17 @@ def test_lll_contract_on_random_bases():
 def test_lll_rejects_rank_deficient():
     with pytest.raises(NotFullRankError):
         lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_lll_rejects_non_matrix_and_non_finite_bases():
+    for basis in (3.0, np.float64(3.0), [1.0, 2.0], np.ones((1, 2, 2))):
+        with pytest.raises(ValueError, match="basis must be a 2-D array"):
+            lll_reduce(basis)
+    for bad in (np.nan, np.inf, -np.inf):
+        B = np.eye(2)
+        B[1, 0] = bad
+        with pytest.raises(ValueError, match="basis entries must be finite"):
+            lll_reduce(B)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -165,6 +179,19 @@ def test_select_coefficients_diagonal_channel():
     assert np.array_equal(np.abs(A), np.eye(3, dtype=np.int64))
 
 
+def test_select_coefficients_rejects_bad_inputs():
+    H = np.array([[1.0, 0.5], [-0.3, 2.0]])
+    for p in ([-1.0, 2.0], [[1.0, 2.0], [3.0, -1e-3]], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="powers must be nonnegative"):
+            select_coefficients(H, p, 257)
+    for p in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], 2.0, np.ones((1, 1, 2))):
+        with pytest.raises(ValueError, match="expected 2 powers per row"):
+            select_coefficients(H, p, 257)
+    for bad in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a square channel matrix"):
+            select_coefficients(bad, [1.0, 2.0], 257)
+
+
 def test_select_coefficients_always_full_rank():
     cfg = OptimizerConfig()
     rng = np.random.default_rng(3)
@@ -184,7 +211,7 @@ def gram_stacks_L2():
     vectors."""
     rng = np.random.default_rng(11)
     H = rng.normal(size=(2, 2))
-    real = np.moveaxis(_gram(H, 10 ** rng.uniform(-1.0, 4.0, size=(300, 2))), -1, 0)
+    real = np.moveaxis(_gram(H, 10 ** rng.uniform(-1.0, 4.0, size=(300, 2)))[0], -1, 0)
     a, b, c = rng.integers(1, 7, size=600), rng.integers(-6, 7, size=600), rng.integers(1, 7, size=600)
     c[::3] = a[::3]
     keep = a * c > b * b
@@ -278,7 +305,7 @@ def test_selected_rows_always_extend_the_rank(gamma):
         for _ in range(6):
             H = rng.normal(size=(L, L))
             p = 10 ** rng.uniform(-1.0, 3.0, size=(40, L))
-            D = np.moveaxis(_gram(H, p), -1, 0)
+            D = np.moveaxis(_gram(H, p)[0], -1, 0)
             A = select_coefficients(H, p, gamma)
             for a, t, d in zip(A, reduced_rows(D), D):
                 assert mat_rank(FieldMatrix(a, gamma)) == L
@@ -303,6 +330,20 @@ def test_metric2_matches_einsum_bitwise():
         met = np.stack([_metric2(cand[:, k, 0], cand[:, k, 1], np.moveaxis(D, 0, -1)) for k in range(4)], axis=1)
         assert np.array_equal(met, np.einsum("nci,nij,ncj->nc", cand, D, cand))
         assert np.array_equal(met, np.stack([np.einsum("ci,ij,cj->c", c, d, c) for c, d in zip(cand, D)]))
+        # _pick2 reads the unit vectors' metrics off the diagonal
+        assert met[:, 2].tobytes() == D[:, 0, 0].tobytes() and met[:, 3].tobytes() == D[:, 1, 1].tobytes()
+
+
+def test_nonzero_mod_is_the_remainder_test():
+    # the floor-division form of v % gamma != 0 that _select_A2 runs, over
+    # the whole int64 range, where its product wraps
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    rng = np.random.default_rng(13)
+    for gamma in (2, 3, 5, 257, 65537):
+        edges = np.array([lo, lo + 1, hi, hi - 1, lo // gamma * gamma + gamma, hi // gamma * gamma], dtype=np.int64)
+        v = np.concatenate([np.arange(-3 * gamma, 3 * gamma), edges, rng.integers(lo, hi, size=2000, dtype=np.int64)])
+        assert np.array_equal(_nonzero_mod(v, gamma), v % gamma != 0)
+        assert [_nonzero_mod(x, gamma) for x in (0, 1, gamma)] == [False, True, False]
 
 
 def test_select_coefficients_L2_single_row_matches_scalar_oracle():
@@ -462,7 +503,7 @@ def test_batched_matches_scalar_oracle(L, nBrute, draws):
             slow = ScalarRows(H, caps, rows, cfg.gammaOpt)
             assert np.array_equal(fast.A, np.stack([row["A"] for row in slow.rows]))
             if L > 2:
-                _, T = _lll_batched(np.linalg.cholesky(np.moveaxis(_gram(H, rows), -1, 0).reshape(-1, L, L)))
+                _, T = _lll_batched(np.linalg.cholesky(np.moveaxis(_gram(H, rows)[0], -1, 0).reshape(-1, L, L)))
                 want = np.concatenate([relay_transforms(H, p) for p in rows])
                 assert np.array_equal(T, want)
             for variant in ("symmetric", "srq", "srm", "srmq"):
@@ -579,6 +620,48 @@ def test_exact_ties_go_to_the_first_row_and_permutations(L):
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_rank_perms_is_the_stable_ranking(L):
+    # the comparison count must rank as the oracle's stable double argsort:
+    # ties to the earlier column, and -0.0 tied with 0.0
+    rng = np.random.default_rng(70 + L)
+    keys = np.concatenate(
+        [
+            np.zeros((1, L)),
+            np.full((1, L), 3.5),
+            np.array([-0.0, 0.0, -1.0])[rng.integers(0, 3, size=(12, L))],
+            rng.integers(0, 2, size=(40, L)).astype(float),
+            np.repeat(rng.normal(size=(20, (L + 1) // 2)), 2, axis=1)[:, :L],
+            rng.normal(size=(40, L)),
+            np.array(list(itertools.permutations(range(L))), dtype=float),
+        ]
+    )
+    got = _rank_perms(keys)
+    assert got.shape == keys.shape and np.issubdtype(got.dtype, np.integer)
+    assert [tuple(r) for r in got.tolist()] == [rank_perm(k) for k in keys]
+
+
+def test_gram_denominators_are_the_noise_powers_own():
+    # at L = 2 _Grid hands _gram's denominators to computation_rate: they
+    # must be bit for bit the ones mmse_noise_power computes unshared, in its
+    # own layout (rows first, relay rows broadcast against each row's
+    # powers), so that the shared noise powers and rates are the unshared
+    # ones.  Only L = 2 shares them: at L = 3, OpenBLAS's Prescott kernel
+    # gives the two layouts different last bits
+    L = 2
+    rng = np.random.default_rng(82)
+    p = 10 ** rng.uniform(-1.0, 3.0, size=(10_100, L))
+    A = rng.integers(-3, 4, size=(len(p), L, L))
+    for gain in (1e-3, 1.0, 1e3, 10 ** rng.uniform(-3.0, 3.0, size=(L, L))):
+        H = rng.normal(size=(L, L)) * gain
+        _, denom = _gram(H, p)
+        assert denom.shape == (L, len(p))
+        assert denom.T.tobytes() == (1.0 + np.vecdot(H, p[:, None, :] * H)).tobytes()
+        tau = mmse_noise_power(H, A, p[:, None, :])
+        assert mmse_noise_power(H, A, p[:, None, :], denom.T).tobytes() == tau.tobytes()
+        assert computation_rate(H, A, p, denom.T).tobytes() == computation_rate(H, A, p).tobytes()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_bounds_match_direct_log_ratios(L):
     # _bounds reads the forwarding log-ratios from one (L, L, N) table per
     # grid, rows last; each bound must be bit for bit the one computed from
@@ -615,12 +698,20 @@ def test_grid_tables_match_their_definitions(L):
     # the constructor's tables, read back row by row: the feasibility masks,
     # one column per distinct (A, pi), gathered by each row's group are that
     # row's own feasible pi_e, and its feasible pi_d = pi_c o sigma^-1 for
-    # sigma = perms[s] - 1 at index s
+    # sigma = perms[s] - 1 at index s.  At L = 2 they are also checked at
+    # sweep size (the default grid, 10,100 rows), on channels with gains from
+    # 1e-3 to 1e3, where the rates reuse the metrics' denominators
     rng = np.random.default_rng(40 + L)
+    mixed = 10 ** np.random.default_rng(0).uniform(-3.0, 3.0, size=(L, L))
+    cases = [(5, 1.0)] + ([(100, g) for g in (1e-3, 1e3, mixed)] if L == 2 else [])
+    for nBrute, gain in cases:
+        check_grid_tables(rng, L, OptimizerConfig(nBrute=nBrute), gain)
+
+
+def check_grid_tables(rng, L, cfg, gain):
     P = 10 ** rng.uniform(0.5, 2.4, size=L)
-    cfg = OptimizerConfig(nBrute=5)
     rows = np.concatenate([_grid_rows(P, False, cfg), _grid_rows(P, True, cfg)])
-    ctx = _Grid(rng.normal(size=(L, L)), rng.uniform(1.0, 6.0, size=L), rows, 257)
+    ctx = _Grid(rng.normal(size=(L, L)) * gain, rng.uniform(1.0, 6.0, size=L), rows, 257)
     assert [tuple(p) for p in ctx.perms.tolist()] == list(itertools.permutations(range(1, L + 1)))
     assert L < 3 or len({tuple(pi) for pi in ctx.pi_c.tolist()}) > 1
     for kind, pi, (mask, group) in (("d", ctx.pi_c, ctx.feas_d), ("e", ctx.pi_s, ctx.feas_e)):
