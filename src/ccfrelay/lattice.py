@@ -14,16 +14,33 @@ exactly as a digit vector over F_gamma plus an integer part:
 Because G is systematic the pair (d, z) is the unique such representation,
 so equality of points is equality of arrays.  Digit and integer arrays may
 carry arbitrary leading batch axes.
+
+A canonical residue (a codeword, a relay output, a recovered codeword) has
+a zero integer part.  The library hands every such point one shared,
+read-only zero array per shape, a zero-strided view of an immutable
+buffer that no caller can make writable; ``combine`` recognizes it by
+identity and skips its terms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatchError, NotInCodebookError, SpecMismatchError
-from .galois import FieldMatrix, int64_array, int_divmod
+from .galois import FieldMatrix, int64_array, reduce_mod
+
+# the data of every shared zero integer part: an immutable bytes buffer, so
+# neither this array nor any view of it can be made writable
+_ZERO = np.frombuffer(bytes(8), dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_part(shape: tuple) -> np.ndarray:
+    """The shared, read-only zero integer part of the given shape."""
+    return np.broadcast_to(_ZERO, shape)
 
 
 @dataclass(frozen=True)
@@ -125,21 +142,65 @@ def combine(points, coeffs) -> ChainPoint:
     an exact division because the two code word terms agree modulo gamma.
     On G's identity block those code words are the canonical digits, so the
     carries there are raw // gamma for raw = sum_i c_i d_i (whose residue is
-    d); code words are formed only for the parity rows below it (P^T)."""
+    d).  Below it they are words // gamma for words = sum_i c_i (d_i P mod
+    gamma), P = G's parity rows transposed, since kappa(G d) there is
+    words mod gamma.  raw and words are summed into one buffer.  Terms with
+    a zero coefficient and shared zero integer parts add nothing and are
+    skipped.
+
+    Raises ValueError when a sum could leave the int64 range: when
+    sum_i |c_i| (gamma - 1), the bound on raw and words, or that bound on
+    the carries plus sum_i |c_i| max|z_i| over the other integer parts
+    reaches 2^63."""
+    if not len(points):
+        raise ValueError("combine needs at least one point")
+    coeffs = int64_array(coeffs, "coefficients")
+    if coeffs.ndim != 1 or len(coeffs) != len(points):
+        raise ValueError(f"{len(points)} points but coefficients of shape {coeffs.shape}")
+    coeffs = coeffs.tolist()
     spec = points[0].spec
-    P = spec.G.entries[spec.kMax :].T
-    raw = words = ints = 0
-    for c, x in zip(int64_array(coeffs, "coefficients").tolist(), points, strict=True):
-        if x.spec != spec:
-            raise SpecMismatchError("points belong to different chain specifications")
-        raw = raw + c * x.digits
-        ints = ints + c * x.ints
+    if any(x.spec != spec for x in points):
+        raise SpecMismatchError("points belong to different chain specifications")
+    gamma, k = spec.gamma, spec.kMax
+    terms = [(c, x) for c, x in zip(coeffs, points) if c]
+    weight = sum(abs(c) for c, _ in terms)
+    owned = [(c, x.ints) for c, x in terms if x.ints.base is not _ZERO]
+    bound = weight + sum(abs(c) * max(int(z.max()), -int(z.min())) for c, z in owned if z.size)
+    if max(weight * (gamma - 1), bound) >= 2**63:
+        raise ValueError("combination may leave the int64 range")
+
+    shape = points[0].digits.shape
+    if any(x.digits.shape != shape for x in points):
+        shape = np.broadcast_shapes(*(x.digits.shape for x in points))
+    P = spec.G.entries[k:].T
+    # acc holds raw, then words, and becomes the integer part; digits
+    # holds the scaled terms, then the result's digits
+    acc = np.empty(shape[:-1] + (spec.n,), dtype=np.int64)
+    digits = np.empty(shape, dtype=np.int64)
+    raw, words = acc[..., :k], acc[..., k:]
+    if not terms:
+        acc.fill(0)
+    for i, (c, x) in enumerate(terms):
+        if i == 0:
+            np.multiply(x.digits, c, out=raw)
+        elif c == 1:
+            np.add(raw, x.digits, out=raw)
+        else:
+            np.add(raw, np.multiply(x.digits, c, out=digits), out=raw)
         if P.size:
-            words = words + c * (x.digits @ P % spec.gamma)
-    carries, digits = int_divmod(raw, spec.gamma)
-    if P.size:
-        carries = np.concatenate((carries, (words - digits @ P % spec.gamma) // spec.gamma), axis=-1)
-    return _point(spec, digits, ints + carries)
+            w = reduce_mod(x.digits @ P, gamma)
+            if i == 0:
+                np.multiply(w, c, out=words)
+            else:
+                np.add(words, np.multiply(w, c, out=w), out=words)
+    # d = raw - gamma (raw // gamma); then every carry is acc // gamma
+    np.floor_divide(raw, gamma, out=digits)
+    np.multiply(digits, gamma, out=digits)
+    np.subtract(raw, digits, out=digits)
+    np.floor_divide(acc, gamma, out=acc)
+    for c, z in owned:
+        np.add(acc, np.multiply(z, c), out=acc)
+    return _point(spec, digits, acc)
 
 
 def point_add(a: ChainPoint, b: ChainPoint) -> ChainPoint:
@@ -169,7 +230,7 @@ def mod_level(x: ChainPoint, k: int) -> ChainPoint:
         raise ValueError(f"level must be in [0, kMax], got {k}")
     digits = x.digits.copy()
     digits[..., :k] = 0
-    return _point(spec, digits, np.zeros_like(x.ints))
+    return _point(spec, digits, _zero_part(x.ints.shape))
 
 
 def quantize_level(x: ChainPoint, k: int) -> ChainPoint:
@@ -194,11 +255,9 @@ def encode_message(w, lp: LevelPair, spec: ChainSpec) -> ChainPoint:
     shape = w.shape[:-1]
     digits = np.zeros(shape + (spec.kMax,), dtype=np.int64)
     digits[..., lp.kShaping : lp.kCoding] = w
-    ints = np.zeros(shape + (spec.n,), dtype=np.int64)
-    # frozen here, so that ChainPoint keeps these fresh arrays uncopied
+    # frozen here, so that ChainPoint keeps this fresh array uncopied
     digits.setflags(write=False)
-    ints.setflags(write=False)
-    return ChainPoint(spec, digits, ints)
+    return ChainPoint(spec, digits, _zero_part(shape + (spec.n,)))
 
 
 def decode_codeword(t: ChainPoint, lp: LevelPair) -> np.ndarray:

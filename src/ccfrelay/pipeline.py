@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DecodeFailure, SpecMismatchError
 from .galois import FieldMatrix, check_permutation, int64_array
-from .lattice import ChainPoint, ChainSpec, LevelPair, _point, combine, encode_message, real_embed
+from .lattice import ChainPoint, ChainSpec, LevelPair, _point, _zero_part, combine, encode_message, real_embed
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these pipeline bindings)
 
 
@@ -166,12 +166,14 @@ def relay_combination(t, m: int, asg: SchemeAssignment) -> ChainPoint:
 def compress(delta: ChainPoint, m: int, asg: SchemeAssignment) -> ChainPoint:
     """Quantize onto the relay's coarse lattice, then fold modulo its
     shaping-chain lattice: mod_level(quantize_level(delta, kq), ke), which
-    keeps the digits at positions ke <= k < kq and no integer part."""
+    keeps the digits at positions ke <= k < kq and the shared zero integer
+    part."""
     if delta.spec != asg.spec:
         raise SpecMismatchError("relay combination spec differs from assignment spec")
-    k = np.arange(asg.spec.kMax)
-    band = (asg.modulo_level_of(m) <= k) & (k < asg.quantize_level_of(m))
-    return _point(asg.spec, delta.digits * band, np.zeros_like(delta.ints))
+    band = np.s_[asg.modulo_level_of(m) : asg.quantize_level_of(m)]
+    digits = np.zeros(delta.digits.shape, dtype=np.int64)
+    digits[..., band] = delta.digits[..., band]
+    return _point(asg.spec, digits, _zero_part(delta.ints.shape))
 
 
 def mmse_alpha(h_m, a_m, p) -> float:

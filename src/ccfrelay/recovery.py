@@ -16,8 +16,9 @@ integer multiple, a quantization or a residue modulo a chain lattice
 depend only on the operands' digits; integer parts only ever feed the
 integer part of a result, which reduction to a canonical residue drops.
 The recovery therefore runs on int64 digit arrays over F_gamma of shape
-(L, batch..., kMax), row m-1 (or l-1) belonging to relay m (or source l),
-and builds ChainPoints only for its results.
+(L, batch..., columns), row m-1 (or l-1) belonging to relay m (or source
+l), and builds ChainPoints only for its results, which all share the one
+read-only zero integer part of their shape (lattice._zero_part).
 
 Digit columns are independent: a result's digit at one position depends
 only on the operands' digits there.  So only the columns a later
@@ -33,6 +34,11 @@ iteration reads are computed (the band invariant):
 - srmq's srq pass reads and fills only digits at or above the finest
   shaping level, and its srm pass only digits below it.
 
+Each pass copies the relay digits it reads once and no others: srq stacks,
+per iteration, its residual relays' digits in that iteration's band, all
+within [shapingLevels[0], codingLevels[0]); srm stacks the columns
+[0, fine level) of every relay once and cancels on that stack in place.
+
 Each iteration solves a residual system that depends only on the
 assignment, never on the relay outputs.  Its inverse over F_gamma is
 computed once per assignment and kind (srq's or srm's), on the first call
@@ -46,19 +52,30 @@ the batch.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import SingularMatrixError, SingularResidualError
-from .galois import int64_array, int_divmod, mat_inverse, residual_sets, residual_submatrix
-from .lattice import _point
+from .galois import int64_array, mat_inverse, reduce_mod, residual_sets, residual_submatrix
+from .lattice import _point, _zero_part
 from .lattice import mod_level, point_add, point_scale, quantize_level  # noqa: F401  (perfbench/spans.py wraps these recovery bindings)
 from .pipeline import SchemeAssignment
 
 
-def _relay_digits(v, asg: SchemeAssignment) -> np.ndarray:
-    """Check the relay outputs against the assignment; stack their digits."""
+def _relay_batch(v, asg: SchemeAssignment) -> tuple:
+    """Check the relay outputs against the assignment; their batch shape."""
     asg.check_points(v, "relay output")
-    return np.stack([v_m.digits for v_m in v])
+    shape = v[0].digits.shape
+    if any(v_m.digits.shape != shape for v_m in v):
+        raise ValueError("relay outputs differ in batch shape")
+    return shape[:-1]
+
+
+def _stack(points, band) -> np.ndarray:
+    """The digit columns ``band`` of the points, stacked (np.array copies a
+    list of arrays as fast as np.stack, with less overhead per call)."""
+    return np.array([x.digits[..., band] for x in points])
 
 
 def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> list:
@@ -71,8 +88,9 @@ def _dither_digits(dithers, asg: SchemeAssignment, batch: tuple) -> list:
 
 
 def _points(spec, D: np.ndarray) -> list:
-    """Canonical residues with the digit rows of D."""
-    zeros = np.zeros(D.shape[1:-1] + (spec.n,), dtype=np.int64)
+    """Canonical residues with the digit rows of D, sharing one zero
+    integer part."""
+    zeros = _zero_part(D.shape[1:-1] + (spec.n,))
     return [_point(spec, d, zeros) for d in D]
 
 
@@ -100,13 +118,12 @@ def _plan(asg: SchemeAssignment, kind: str) -> tuple:
     return plan
 
 
-def _solve_layer(asg: SchemeAssignment, relays, inv, V, band, phase: str, iteration: int) -> np.ndarray:
+def _solve_layer(asg: SchemeAssignment, inv, U, phase: str, iteration: int) -> np.ndarray:
     """Digits of the residual sources in one digit band: the inverse of the
-    residual matrix times the residual relays' digits."""
+    residual matrix times U, the residual relays' digits in that band."""
     if inv is None:
         raise SingularResidualError(phase, iteration)
-    U = V[relays, ..., band]
-    return int_divmod(inv @ U.reshape(len(U), -1), asg.spec.gamma)[1].reshape(U.shape)
+    return reduce_mod(inv @ U.reshape(len(U), -1), asg.spec.gamma).reshape(U.shape)
 
 
 def srq(v, asg: SchemeAssignment):
@@ -118,15 +135,17 @@ def srq(v, asg: SchemeAssignment):
     recovered codewords, indexed by source.  Each layer is solved straight
     from the relay digits (band invariant).
     """
-    V = _relay_digits(v, asg)
+    batch = _relay_batch(v, asg)
     L = asg.L
     coding = asg.codingLevels
 
-    # T[l-1] holds the digits of source l, one coding layer per iteration
-    T = np.zeros_like(V)
+    # T[l-1] holds the digits of source l, one coding layer per iteration;
+    # each layer stacks only its residual relays' digits in its band
+    T = np.zeros((L,) + batch + (asg.spec.kMax,), dtype=np.int64)
     for j, (sources, relays, inv) in enumerate(_plan(asg, "d"), 1):
         band = np.s_[coding[j] if j < L else asg.shapingLevels[0] : coding[j - 1]]
-        T[sources, ..., band] = _solve_layer(asg, relays, inv, V, band, "quantization", j)
+        U = _stack(itertools.compress(v, relays), band)
+        T[sources, ..., band] = _solve_layer(asg, inv, U, "quantization", j)
     return _points(asg.spec, T)
 
 
@@ -144,18 +163,20 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     to the finest coding level.  Cancellation stops at the fine level
     (band invariant).
     """
-    V = _relay_digits(v, asg)
+    batch = _relay_batch(v, asg)
     spec = asg.spec
     L = asg.L
     fine_level = asg.codingLevels[0] if fine_level is None else int64_array(fine_level, "fine level").item()
     if not asg.shapingLevels[0] <= fine_level <= spec.kMax:
         raise ValueError(f"fine level {fine_level} outside [{asg.shapingLevels[0]}, {spec.kMax}]")
-    D = _dither_digits(dithers, asg, V.shape[1:-1])
+    # the relay digits below the fine level, cancelled in place
+    V = _stack(v, np.s_[:fine_level])
+    D = _dither_digits(dithers, asg, batch)
 
-    T = np.zeros_like(V)
+    T = np.zeros((L,) + batch + (spec.kMax,), dtype=np.int64)
     for i, (sources, relays, inv) in enumerate(_plan(asg, "e"), 1):
         k_i = asg.shapingLevels[i - 1]
-        W = _solve_layer(asg, relays, inv, V, np.s_[k_i:fine_level], "modulo", i)
+        W = _solve_layer(asg, inv, V[relays, ..., k_i:fine_level], "modulo", i)
         l = asg.pi_s.index(i)
         T[l, ..., k_i:fine_level] = W[np.count_nonzero(sources[:l])]
         if i < L:
@@ -163,7 +184,8 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
             t = T[l, ..., :fine_level]
             if D[l] is not None:
                 t = np.concatenate([D[l][..., :k_i], t[..., k_i:]], axis=-1)
-            V[..., :fine_level] = int_divmod(V[..., :fine_level] - np.multiply.outer(asg.A[:, l], t), spec.gamma)[1]
+            V -= np.multiply.outer(asg.A[:, l], t)
+            reduce_mod(V, spec.gamma)
     return _points(spec, T)
 
 

@@ -10,11 +10,11 @@ from ccfrelay.galois import (
     FieldMatrix,
     feasible_pi_d,
     feasible_pi_e,
-    int_divmod,
     is_permutation,
     mat_inverse,
     mat_rank,
     perm_inverse,
+    reduce_mod,
     residual_sets,
     residual_submatrix,
 )
@@ -137,15 +137,22 @@ def test_matrix_rejects_non_integer_entries():
     assert FieldMatrix([[4.0, 2], [0, -1]], 3) == FieldMatrix(np.array([[1, 2], [0, 2]], dtype=np.int8), 3)
 
 
-def test_int_divmod_matches_numpy_divmod():
-    # negative values, values far above the modulus, batched shapes
+def test_reduce_mod_matches_numpy_remainder_in_place():
+    # negative values, values far above the modulus, batched shapes; the
+    # residue replaces x in its own buffer, also in a strided view
     rng = np.random.default_rng(41)
     for modulus in (2, 3, 257, (1 << 31) - 1):
         for shape in ((), (7,), (3, 4, 5)):
             x = rng.integers(-(1 << 40), 1 << 40, size=shape)
-            for got, want in zip(int_divmod(x, modulus), np.divmod(x, modulus)):
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+            want = np.remainder(x, modulus)
+            assert reduce_mod(x, modulus) is x
+            assert x.dtype == want.dtype
+            np.testing.assert_array_equal(x, want)
+    x = rng.integers(-(1 << 40), 1 << 40, size=(6, 8))
+    want = x.copy()
+    want[:, 2:5] %= 7
+    reduce_mod(x[:, 2:5], 7)
+    np.testing.assert_array_equal(x, want)
 
 
 def test_residual_submatrix_indexing():

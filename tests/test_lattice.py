@@ -151,19 +151,74 @@ def test_embedding_is_group_homomorphism():
 def test_combine_matches_the_full_code_word_reference():
     # digits and integer parts bit for bit against the carries formed over
     # every code word coordinate: parity rows, large coefficients, negative
-    # integer parts, batched points
+    # integer parts, batched points, mixed batch shapes
     rng = np.random.default_rng(41)
     for gamma, n, kMax in ((2, 2, 2), (2, 5, 2), (3, 8, 8), (3, 8, 5), (5, 6, 3), (7, 4, 4), (7, 3, 1), (257, 9, 4)):
         spec = make_chain_spec(gamma, n, kMax, rng=rng)
         for batch in ((), (5,), (2, 3)):
             for count in (1, 2, 3, 4):
                 points = [rand_point(spec, rng, batch=batch, int_range=50) for _ in range(count)]
-                coeffs = rng.integers(-300, 301, size=count)
-                got = combine(points, coeffs)
-                digits, ints = exact_oracle.combine(points, coeffs)
-                for a, b in ((got.digits, digits), (got.ints, ints)):
-                    assert a.dtype == b.dtype and a.shape == b.shape
-                    np.testing.assert_array_equal(a, b)
+                _assert_combine_matches_reference(points, rng.integers(-300, 301, size=count))
+        # mixed batch shapes broadcast: unbatched points with batched ones,
+        # integer parts nonzero or the shared zero of encoded codewords
+        lp = LevelPair(kMax, 0)
+        codeword = encode_message(rng.integers(0, gamma, size=(4, 3, kMax)), lp, spec)
+        for points in (
+            [rand_point(spec, rng, int_range=50), rand_point(spec, rng, batch=(4, 3), int_range=50)],
+            [rand_point(spec, rng, batch=(3,)), codeword, rand_point(spec, rng)],
+            [encode_message(rng.integers(0, gamma, size=kMax), lp, spec), codeword],
+        ):
+            _assert_combine_matches_reference(points, rng.integers(-300, 301, size=len(points)))
+
+
+def _assert_combine_matches_reference(points, coeffs):
+    got = combine(points, coeffs)
+    digits, ints = exact_oracle.combine(points, coeffs)
+    for a, b in ((got.digits, digits), (got.ints, ints)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+def test_combine_rejects_sums_that_leave_the_int64_range():
+    spec = make_chain_spec(3, 4, 4)
+    x = ChainPoint(spec, [2, 2, 2, 2], [0, 0, 0, 0])
+    # combine([x, x], [2^62, 2^62]): the digit sum 2^64 would wrap to 0 in
+    # int64, giving digits 0 where 2^64 mod 3 = 1 is right; every case has
+    # sum |c_i| (gamma - 1) >= 2^63
+    for points, coeffs in (([x, x], [2**62, 2**62]), ([x], [2**62]), ([x, x], [-(2**62), 2**62])):
+        with pytest.raises(ValueError, match="int64 range"):
+            combine(points, coeffs)
+    with pytest.raises(ValueError, match="int64 range"):
+        point_scale(x, 2**62)
+    # just inside the bound, the result is the exact integer one
+    c = 2**62 - 1
+    y = point_scale(x, c)
+    assert y.digits.tolist() == [2 * c % 3] * 4 and y.ints.tolist() == [2 * c // 3] * 4
+    # an integer part of its own is bounded too: the carries (here 0) plus
+    # sum |c_i| max|z_i|
+    big = ChainPoint(spec, [0, 0, 0, 0], [-(2**61), 0, 3, 0])
+    with pytest.raises(ValueError, match="int64 range"):
+        combine([big] * 4, [1, 1, 1, 1])
+    assert combine([big] * 3, [1, 1, -1]).ints.tolist() == [-(2**61), 0, 3, 0]
+    # the shared zero part of a codeword adds nothing to the bound
+    w = encode_message([1, 2], LevelPair(3, 1), spec)
+    assert point_scale(w, 2**62 - 1).ints.tolist() == [0, (2**62 - 1) // 3, 2 * (2**62 - 1) // 3, 0]
+
+
+def test_combine_rejects_malformed_operand_lists():
+    spec = make_chain_spec(3, 4, 4)
+    x = ChainPoint(spec, [1, 0, 2, 0], [0, 1, 0, 0])
+    with pytest.raises(ValueError, match="at least one point"):
+        combine([], [])
+    with pytest.raises(ValueError, match="2 points but coefficients of shape"):
+        combine([x, x], [1])
+    with pytest.raises(ValueError, match="1 points but coefficients of shape"):
+        combine([x], [1, 2])
+    with pytest.raises(ValueError, match="points but coefficients"):
+        combine([x], 1)
+    # zero coefficients contribute nothing, also when all are zero
+    assert combine([x, x], [0, 0]) == ChainPoint(spec, [0] * 4, [0] * 4)
+    assert combine([x, x], [0, 2]) == point_scale(x, 2)
 
 
 def test_representation_unique_exhaustive():

@@ -333,6 +333,74 @@ def test_recovery_matches_the_full_array_reference(gamma, L):
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
+def test_chain_at_a_large_batch_matches_the_full_array_reference(L):
+    # 4,096 messages: every full-batch buffer lies above glibc's 128 KiB
+    # mmap threshold, where fresh pages come back zero-filled and can hide
+    # a read of an uninitialized np.empty (CI also runs this file under
+    # MALLOC_PERTURB_).  Chains with n = kMax, as in the benchmark, and
+    # with parity rows.
+    rng = np.random.default_rng((L, 28))
+    batch = (4096,)
+    for kind in ("square", "parity"):
+        for common in (True, False):
+            if kind == "square":
+                asg = random_assignment(rng, 3, 8, L, common_shaping=common)
+            else:
+                asg = _oracle_assignment(rng, 3, L, common_shaping=common)
+            t = encode_all(_messages(rng, asg, batch), asg)
+            deltas = [relay_combination(t, m, asg) for m in range(1, L + 1)]
+            for m, delta in enumerate(deltas, 1):
+                digits, ints = exact_oracle.combine(t, asg.A[m - 1])
+                np.testing.assert_array_equal(delta.digits, digits)
+                np.testing.assert_array_equal(delta.ints, ints)
+            v = [compress(delta, m, asg) for m, delta in enumerate(deltas, 1)]
+            for m, (delta, v_m) in enumerate(zip(deltas, v), 1):
+                kq, ke = asg.quantize_level_of(m), asg.modulo_level_of(m)
+                assert v_m == mod_level(quantize_level(delta, kq), ke)
+            if common:
+                got = srq(v, asg)
+                _assert_bit_equal(got, _reference(srq)(v, asg))
+                assert got == t
+                continue
+            dithers = _oracle_dithers(rng, asg, batch)
+            # sources send x = [t - d] mod shaping; recovery returns x
+            x = [
+                t_l if d is None else mod_level(point_sub(t_l, d), asg.shaping_level(l))
+                for l, (t_l, d) in enumerate(zip(t, dithers), 1)
+            ]
+            w = [mod_level(relay_combination(x, m, asg), asg.modulo_level_of(m)) for m in range(1, L + 1)]
+            got = srm(w, dithers, asg)
+            _assert_bit_equal(got, exact_oracle.srm(w, dithers, asg))
+            assert got == x
+            v = relay_outputs(x, asg)
+            got = srmq(v, dithers, asg)
+            _assert_bit_equal(got, exact_oracle.srmq(v, dithers, asg))
+            assert got == x
+
+
+def test_shared_zero_part_reads_zero_after_a_chain_run():
+    # codewords, relay outputs, residues modulo a level and recovered
+    # codewords share one zero integer part per shape, a view of an
+    # immutable buffer: neither it, its base nor a slice of it can be made
+    # writable, and a whole chain leaves it zero
+    rng = np.random.default_rng(28)
+    asg = random_assignment(rng, 3, 8, 3)
+    t = encode_all(random_messages(rng, asg, 64), asg)
+    v = relay_outputs(t, asg)
+    got = srmq(v, None, asg)
+    assert got == t
+    zero = t[0].ints
+    residue = mod_level(relay_combination(t, 1, asg), 2)
+    assert all(x.ints is zero for x in t + v + got + srq(v, asg) + srm(v, None, asg) + [residue])
+    for z in (zero, zero.base, got[0][5].ints):
+        with pytest.raises(ValueError):
+            z.setflags(write=True)
+    with pytest.raises(ValueError):
+        zero[0, 0] = 1
+    assert zero.shape == (64, 8) and not np.any(zero)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
 @pytest.mark.parametrize("gamma", [2, 3, 5])
 def test_dither_digits_below_the_shaping_level_are_cancelled(gamma, L):
     # dithers with random digits everywhere and an integer part; the relays
