@@ -101,7 +101,7 @@ class ChainPoint:
             raise ValueError(f"integer axis must have length n={self.spec.n}")
         if d.shape[:-1] != z.shape[:-1]:
             raise ValueError("digit and integer batch shapes differ")
-        if np.any(d < 0) or np.any(d >= self.spec.gamma):
+        if d.size and (d.min() < 0 or d.max() >= self.spec.gamma):
             raise ValueError("digits must be canonical representatives in [0, gamma)")
         # freeze copies of the caller's writeable arrays, never the arrays
         # themselves; an input that is already read-only is kept
@@ -132,7 +132,9 @@ def _point(spec: ChainSpec, digits: np.ndarray, ints: np.ndarray) -> ChainPoint:
     x = object.__new__(ChainPoint)
     x.__dict__.update(spec=spec, digits=digits, ints=ints)
     digits.setflags(write=False)
-    ints.setflags(write=False)
+    # the shared zero integer part is never writable
+    if ints.flags.writeable:
+        ints.setflags(write=False)
     return x
 
 
@@ -159,7 +161,7 @@ def combine(points, coeffs) -> ChainPoint:
         raise ValueError(f"{len(points)} points but coefficients of shape {coeffs.shape}")
     coeffs = coeffs.tolist()
     spec = points[0].spec
-    if any(x.spec != spec for x in points):
+    if any(x.spec is not spec and x.spec != spec for x in points):
         raise SpecMismatchError("points belong to different chain specifications")
     gamma, k = spec.gamma, spec.kMax
     terms = [(c, x) for c, x in zip(coeffs, points) if c]

@@ -73,7 +73,7 @@ class SchemeAssignment:
         object.__setattr__(self, "powers", p)
         object.__setattr__(self, "budgets", P)
 
-    @property
+    @functools.cached_property
     def L(self) -> int:
         return len(self.pi_c)
 
@@ -86,7 +86,7 @@ class SchemeAssignment:
             if x is None:
                 if what != "dither":
                     raise ValueError(f"{what} {i} is None; only a dither may be None")
-            elif x.spec != self.spec:
+            elif x.spec is not self.spec and x.spec != self.spec:
                 raise SpecMismatchError(f"{what} spec differs from assignment spec")
 
     def index0(self, i: int) -> int:
@@ -168,7 +168,7 @@ def compress(delta: ChainPoint, m: int, asg: SchemeAssignment) -> ChainPoint:
     shaping-chain lattice: mod_level(quantize_level(delta, kq), ke), which
     keeps the digits at positions ke <= k < kq and the shared zero integer
     part."""
-    if delta.spec != asg.spec:
+    if delta.spec is not asg.spec and delta.spec != asg.spec:
         raise SpecMismatchError("relay combination spec differs from assignment spec")
     band = np.s_[asg.modulo_level_of(m) : asg.quantize_level_of(m)]
     digits = np.zeros(delta.digits.shape, dtype=np.int64)

@@ -29,22 +29,30 @@ iteration reads are computed (the band invariant):
   layers recovered before lie at or above coding level j, so their
   combination is zero there: srq cancels nothing.
 - srm iteration i reads from shaping level i up to the fine level, on
-  relays whose modulo levels lie at or below shaping level i: it cancels
-  only below the fine level and never folds.
+  relays whose modulo levels lie at or below shaping level i: no
+  iteration reads a column below shapingLevels[-1], and none folds.
 - srmq's srq pass reads and fills only digits at or above the finest
   shaping level, and its srm pass only digits below it.
 
-Each pass copies the relay digits it reads once and no others: srq stacks,
-per iteration, its residual relays' digits in that iteration's band, all
-within [shapingLevels[0], codingLevels[0]); srm stacks the columns
-[0, fine level) of every relay once and cancels on that stack in place.
+srq copies the relay digits it reads once and no others: per iteration,
+its residual relays' digits in that iteration's band, all within
+[shapingLevels[0], codingLevels[0]).  srm is a linear map over F_gamma in
+every column, from the relay and dither digits there to the source
+digits, and a column's treatment changes only at shaping levels.  So all
+columns of a digit band, between consecutive shaping levels and capped at
+the fine level, share one relay matrix and one dither matrix.  They are
+compiled once per assignment and fine level, by running the iterative
+form (_srm_digits: solve, write, cancel, reduce) on the 2L unit inputs;
+a call stacks each band's relay digits once and applies them with one
+product (plus one for the dithers), one reduction and one write.
 
 Each iteration solves a residual system that depends only on the
 assignment, never on the relay outputs.  Its inverse over F_gamma is
 computed once per assignment and kind (srq's or srm's), on the first call
-that needs it, and kept on the assignment; every call runs only the digit
-work.  A singular system raises SingularResidualError when its iteration
-is reached, on every call.
+that needs it, and kept on the assignment, next to srm's band matrices;
+every call runs only the digit work.  A singular system raises a fresh
+SingularResidualError, with the phase and iteration where it appears, on
+every call.
 
 Inputs may carry leading batch axes; every iteration is vectorized over
 the batch.
@@ -149,6 +157,54 @@ def srq(v, asg: SchemeAssignment):
     return _points(asg.spec, T)
 
 
+def _srm_digits(V: np.ndarray, D: list, asg: SchemeAssignment, fine_level: int) -> np.ndarray:
+    """The iterative srm on digit arrays: the source digits (L, batch...,
+    kMax) from V, the relay digits in columns [0, fine_level), cancelled in
+    place, and D, each source's dither digits or None."""
+    T = np.zeros(V.shape[:-1] + (asg.spec.kMax,), dtype=np.int64)
+    for i, (sources, relays, inv) in enumerate(_plan(asg, "e"), 1):
+        k_i = asg.shapingLevels[i - 1]
+        W = _solve_layer(asg, inv, V[relays, ..., k_i:fine_level], "modulo", i)
+        l = asg.pi_s.index(i)
+        T[l, ..., k_i:fine_level] = W[np.count_nonzero(sources[:l])]
+        if i < asg.L:
+            # t - Q_{k_i}(t - d): the dither below k_i (T[l] is zero there), t above it
+            t = T[l, ..., :fine_level]
+            if D[l] is not None:
+                t = np.concatenate([D[l][..., :k_i], t[..., k_i:]], axis=-1)
+            V -= np.multiply.outer(asg.A[:, l], t)
+            reduce_mod(V, asg.spec.gamma)
+    return T
+
+
+def _srm_bands(asg: SchemeAssignment, fine_level: int) -> tuple:
+    """srm at one fine level, compiled: (bands, singular).  bands holds
+    (lo, hi, R, E) per nonempty digit band [lo, hi); each of its columns
+    maps the relay digits u and dither digits e there to R u + E e, so R
+    and E are _srm_digits' responses to the unit inputs.  singular is None,
+    or the (phase, iteration) of a singular residual system, with no bands.
+    Compiled on first use and kept in the assignment's instance dict, next
+    to _plan's inverses."""
+    key = f"_srm_bands_{fine_level}"
+    compiled = asg.__dict__.get(key)
+    if compiled is None:
+        L, kMax = asg.L, asg.spec.kMax
+        # input u < L sets relay u's digits to one, input L + l source l's dither's
+        unit = np.eye(2 * L, dtype=np.int64)
+        V = np.repeat(unit[:L, :, None], fine_level, axis=-1)
+        D = [np.broadcast_to(unit[L + l, :, None], (2 * L, kMax)) for l in range(L)]
+        try:
+            T = _srm_digits(V, D, asg, fine_level)
+        except SingularResidualError as exc:
+            compiled = ((), (exc.phase, exc.iteration))
+        else:
+            edges = (fine_level,) + asg.shapingLevels
+            bands = tuple((lo, hi, T[:, :L, lo], T[:, L:, lo]) for hi, lo in zip(edges, edges[1:]) if lo < hi)
+            compiled = (bands, None)
+        asg.__dict__[key] = compiled
+    return compiled
+
+
 def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     """Successive recovery under asymmetric modulo (trivial quantization).
 
@@ -160,32 +216,30 @@ def srm(v, dithers, asg: SchemeAssignment, fine_level: int = None):
     leaves the result unchanged: it reads as the zero dither.
     ``fine_level`` is the digit level of the common fine lattice the
     codewords live on, from the finest shaping level to kMax; it defaults
-    to the finest coding level.  Cancellation stops at the fine level
-    (band invariant).
+    to the finest coding level.  Each digit band below the fine level is
+    one product with the band's compiled matrices (band invariant).
     """
     batch = _relay_batch(v, asg)
     spec = asg.spec
-    L = asg.L
     fine_level = asg.codingLevels[0] if fine_level is None else int64_array(fine_level, "fine level").item()
     if not asg.shapingLevels[0] <= fine_level <= spec.kMax:
         raise ValueError(f"fine level {fine_level} outside [{asg.shapingLevels[0]}, {spec.kMax}]")
-    # the relay digits below the fine level, cancelled in place
-    V = _stack(v, np.s_[:fine_level])
     D = _dither_digits(dithers, asg, batch)
+    bands, singular = _srm_bands(asg, fine_level)
+    if singular:
+        raise SingularResidualError(*singular)
+    dithered = [l for l, d in enumerate(D) if d is not None]
 
-    T = np.zeros((L,) + batch + (spec.kMax,), dtype=np.int64)
-    for i, (sources, relays, inv) in enumerate(_plan(asg, "e"), 1):
-        k_i = asg.shapingLevels[i - 1]
-        W = _solve_layer(asg, inv, V[relays, ..., k_i:fine_level], "modulo", i)
-        l = asg.pi_s.index(i)
-        T[l, ..., k_i:fine_level] = W[np.count_nonzero(sources[:l])]
-        if i < L:
-            # t - Q_{k_i}(t - d): the dither below k_i (T[l] is zero there), t above it
-            t = T[l, ..., :fine_level]
-            if D[l] is not None:
-                t = np.concatenate([D[l][..., :k_i], t[..., k_i:]], axis=-1)
-            V -= np.multiply.outer(asg.A[:, l], t)
-            reduce_mod(V, spec.gamma)
+    T = np.zeros((asg.L,) + batch + (spec.kMax,), dtype=np.int64)
+    for lo, hi, R, E in bands:
+        U = _stack(v, np.s_[lo:hi])
+        X = R @ U.reshape(len(U), -1)
+        if dithered:
+            # reduced first: for gamma near 2^31 a sum of 2L products
+            # could leave the int64 range
+            reduce_mod(X, spec.gamma)
+            X += E[:, dithered] @ np.array([D[l][..., lo:hi] for l in dithered]).reshape(len(dithered), -1)
+        T[..., lo:hi] = reduce_mod(X, spec.gamma).reshape(U.shape)
     return _points(spec, T)
 
 

@@ -145,6 +145,31 @@ def test_singular_residual_reported_with_phase_and_iteration():
     assert exc.value.iteration == 2
 
 
+def _traceback_depth(exc: BaseException) -> int:
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def test_singular_residual_raised_afresh_on_every_call():
+    # srm keeps only the phase and iteration of a singular system: each
+    # call raises a new error, whose traceback does not grow from call to
+    # call as that of one re-raised object would
+    asg = _fixed_assignment(A=np.array([[0, 1], [1, 0]]))
+    t = encode_all(random_messages(np.random.default_rng(5), asg, 4), asg)
+    v = [mod_level(relay_combination(t, m, asg), asg.modulo_level_of(m)) for m in (1, 2)]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SingularResidualError) as exc:
+            srm(v, None, asg)
+        errors.append(exc.value)
+    first, second = errors
+    assert first is not second
+    assert (first.phase, first.iteration) == (second.phase, second.iteration) == ("modulo", 2)
+    assert _traceback_depth(first) == _traceback_depth(second)
+
+
 def test_wrong_relay_count_rejected():
     asg = _fixed_assignment(A=np.eye(2, dtype=np.int64))
     t = encode_all(random_messages(np.random.default_rng(6), asg, 4), asg)
@@ -547,6 +572,45 @@ def test_residual_systems_are_solved_once_per_assignment_and_kind(gamma, monkeyp
                 except SingularMatrixError:
                     assert inv is None
     assert raised > 0
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@pytest.mark.parametrize("gamma", [2, 3, 5, 257])
+def test_srm_bands_are_the_unit_responses_of_their_columns(gamma, L):
+    # srm is linear over F_gamma in every column, and a column's treatment
+    # changes only at shaping levels.  The iterative form, run on the unit
+    # inputs over all columns, must give a band's compiled relay and dither
+    # matrices in every column of that band and zero in every column
+    # outside the bands, which together span [shapingLevels[-1], fine level)
+    rng = np.random.default_rng((gamma, L, 29))
+    compiled = 0
+    for case in range(6):
+        asg = _oracle_assignment(rng, gamma, L, common_shaping=False)
+        if case % 2:
+            asg = replace(asg, pi_e=tuple(rng.permutation(L) + 1))
+        kMax = asg.spec.kMax
+        unit = np.eye(2 * L, dtype=np.int64)
+        D = [np.broadcast_to(unit[L + l, :, None], (2 * L, kMax)) for l in range(L)]
+        for fine in range(asg.shapingLevels[0], kMax + 1):
+            bands, singular = recovery._srm_bands(asg, fine)
+            try:
+                T = recovery._srm_digits(np.repeat(unit[:L, :, None], fine, axis=-1), D, asg, fine)
+            except SingularResidualError as exc:
+                assert (bands, singular) == ((), (exc.phase, exc.iteration))
+                continue
+            assert singular is None
+            covered = np.zeros(kMax, dtype=bool)
+            for lo, hi, R, E in bands:
+                assert lo < hi and not covered[lo:hi].any()
+                assert lo in asg.shapingLevels and (hi == fine or hi in asg.shapingLevels)
+                for c in range(lo, hi):
+                    np.testing.assert_array_equal(T[:, :L, c], R)
+                    np.testing.assert_array_equal(T[:, L:, c], E)
+                covered[lo:hi] = True
+            np.testing.assert_array_equal(covered, (np.arange(kMax) >= asg.shapingLevels[-1]) & (np.arange(kMax) < fine))
+            assert not T[..., ~covered].any()
+            compiled += 1
+    assert compiled > 0
 
 
 def _point_record(x: ChainPoint) -> str:
